@@ -17,6 +17,11 @@ from repro.quant.qconfig import QuantConfig
 from repro.quant.rounding import apply_rounding
 from repro.utils.rng import RngLike
 
+#: Elements per chunk of :func:`quantize`: the float64 temporaries of one
+#: chunk (128 KiB each) stay in cache, and the Python loop runs once per
+#: 16 K elements.
+CHUNK = 16384
+
 
 def compute_scale(
     values: np.ndarray,
@@ -40,22 +45,32 @@ def compute_scale(
     axis:
         If given, compute one scale per index along ``axis`` (per-channel
         quantization for weights); otherwise a single per-tensor scale.
-    """
-    magnitude = np.abs(np.asarray(values, dtype=np.float64))
-    if axis is None:
-        if percentile is None or percentile >= 100.0:
-            extreme = magnitude.max() if magnitude.size else 0.0
-        else:
-            extreme = np.percentile(magnitude, percentile) if magnitude.size else 0.0
-        extreme = float(extreme)
-        return np.float64(max(extreme, eps) / qmax)
 
-    moved = np.moveaxis(magnitude, axis, 0).reshape(magnitude.shape[axis], -1)
-    if percentile is None or percentile >= 100.0:
-        extreme = moved.max(axis=1) if moved.size else np.zeros(moved.shape[0])
+    The absolute maximum is ``max(values.max(), -values.min())`` in the
+    input's own float dtype (no float64 copy of the tensor); only the
+    percentile path builds a float64 ``|values|``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        values = values.astype(np.float64)
+    use_percentile = percentile is not None and percentile < 100.0
+    if axis is None:
+        if not values.size:
+            extreme = 0.0
+        elif use_percentile:
+            extreme = np.percentile(np.abs(values, dtype=np.float64), percentile)
+        else:
+            extreme = max(values.max(), -values.min())
+        return np.float64(max(float(extreme), eps) / qmax)
+
+    moved = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
+    if use_percentile:
+        extreme = np.percentile(np.abs(moved, dtype=np.float64), percentile, axis=1)
+    elif moved.size:
+        extreme = np.maximum(moved.max(axis=1), -moved.min(axis=1))
     else:
-        extreme = np.percentile(moved, percentile, axis=1)
-    return np.maximum(extreme, eps) / qmax
+        extreme = np.zeros(moved.shape[0])
+    return np.maximum(extreme.astype(np.float64), eps) / qmax
 
 
 def quantize(
@@ -68,8 +83,20 @@ def quantize(
     """Quantize ``values`` to integer levels.
 
     Returns ``(q, scale)`` where ``q`` is an integer array (int8 when
-    ``config.bits <= 8``, otherwise int32) and ``scale`` the positive step
-    size(s) needed to dequantize (``x ≈ q * scale``).
+    ``config.bits <= 8``, int16 up to 16 bits, otherwise int32) and
+    ``scale`` the positive step size(s) needed to dequantize
+    (``x ≈ q * scale``).
+
+    ``values`` is streamed in C order of its logical index, ``CHUNK``
+    elements at a time, whatever its memory layout.  Each chunk is divided
+    by its scale in float64, rounded by :func:`apply_rounding`, clipped and
+    written into the preallocated integer output, so the levels equal those
+    of rounding the whole tensor at once.  Stochastic rounding draws one
+    ``rng.random`` double per element in that order (``values.size`` in
+    all) and leaves the generator where a single whole-tensor draw would;
+    nearest rounding draws none.  ``rng`` is a generator or seed; ``None``
+    means ``config.rng()``.  Besides ``q``, memory use is O(``CHUNK``) for
+    any tensor size and any scale shape (per-tensor or per-channel).
     """
     values = np.asarray(values, dtype=np.float32)
     if scale is None:
@@ -84,16 +111,31 @@ def quantize(
         scale_b = scale.reshape(broadcast_shape)
     else:
         scale_b = scale
-    levels = values / scale_b
-    rounded = apply_rounding(levels, config.rounding, rng=rng or config.rng())
-    clipped = np.clip(rounded, config.qmin, config.qmax)
+    rng = config.rng(rng)
     if config.bits <= 8:
         dtype = np.int8
     elif config.bits <= 16:
         dtype = np.int16
     else:
         dtype = np.int32
-    return clipped.astype(dtype), scale
+    q = np.empty(values.shape, dtype=dtype)
+    # Casting every operand to float64 makes nditer buffer all three, so each
+    # chunk holds up to CHUNK elements in C order even for strided input or
+    # a broadcast scale (unbuffered, chunks would shrink to the inner axis);
+    # each chunk of levels is cast into ``q`` when it is written back.
+    with np.nditer(
+        [values, scale_b, q],
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly"], ["readonly"], ["writeonly"]],
+        op_dtypes=[np.float64] * 3,
+        casting="unsafe",
+        order="C",
+        buffersize=CHUNK,
+    ) as chunks:
+        for chunk, chunk_scale, levels in chunks:
+            rounded = apply_rounding(chunk / chunk_scale, config.rounding, rng=rng)
+            np.clip(rounded, config.qmin, config.qmax, out=levels)
+    return q, scale
 
 
 def dequantize(

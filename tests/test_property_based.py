@@ -6,7 +6,7 @@ functions, label overlays and the im2col/col2im adjoint relationship.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,8 +20,8 @@ from repro.core.losses import (
 from repro.data.overlay import LabelOverlay
 from repro.nn.functional import col2im, im2col, l2_normalize, softmax
 from repro.quant.qconfig import QuantConfig
-from repro.quant.rounding import round_nearest, round_stochastic
-from repro.quant.suq import dequantize, quantize
+from repro.quant.rounding import apply_rounding, round_nearest, round_stochastic
+from repro.quant.suq import CHUNK, dequantize, quantize
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False, width=32
@@ -91,6 +91,83 @@ class TestQuantizationProperties:
     def test_nearest_rounding_within_half_unit(self, values):
         rounded = round_nearest(values)
         assert np.all(np.abs(rounded - values) <= 0.5 + 1e-9)
+
+
+def reference_scale(values, config, axis):
+    """SUQ scale from a float64 ``|values|``, one per tensor or per channel."""
+    if not values.size:
+        return np.float64(1e-12 / config.qmax)
+    magnitude = np.abs(values.astype(np.float64))
+    if axis is not None:
+        magnitude = np.moveaxis(magnitude, axis, 0).reshape(values.shape[axis], -1)
+    if config.percentile is None:
+        extreme = magnitude.max(axis=None if axis is None else 1)
+    else:
+        extreme = np.percentile(magnitude, config.percentile,
+                                axis=None if axis is None else 1)
+    return np.maximum(extreme, 1e-12) / config.qmax
+
+
+def reference_quantize(values, config, scale, axis, rng):
+    """Unchunked SUQ: round the whole tensor at once, then clip and cast."""
+    scale_b = scale
+    if axis is not None:
+        shape = [1] * values.ndim
+        shape[axis] = -1
+        scale_b = np.reshape(scale, shape)
+    rounded = apply_rounding(values / scale_b, config.rounding, rng=rng)
+    dtype = {4: np.int8, 8: np.int8, 16: np.int16}[config.bits]
+    return np.clip(rounded, config.qmin, config.qmax).astype(dtype)
+
+
+@st.composite
+def streaming_cases(draw):
+    """Tensors around the chunk boundaries, in every scale and layout mode."""
+    size = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]))
+    rows = draw(st.sampled_from([r for r in (1, 2, 3, 5, 11) if size % r == 0]))
+    shape = (rows, size // rows)
+    transposed = draw(st.booleans())
+    data = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
+        scale=3.0, size=shape[::-1] if transposed else shape).astype(np.float32)
+    fill = draw(st.sampled_from(["normal", "zero", "nan"]))
+    if fill == "zero":
+        data[...] = 0.0
+    elif fill == "nan" and data.size:
+        data.flat[draw(st.integers(0, data.size - 1))] = np.nan
+    values = data.T if transposed else data
+    mode = draw(st.sampled_from(["tensor", "channel0", "channel1"]))
+    config = QuantConfig(
+        bits=draw(st.sampled_from([4, 8, 16])),
+        rounding=draw(st.sampled_from(["stochastic", "nearest"])),
+        per_channel=mode != "tensor",
+        percentile=draw(st.sampled_from([None, 99.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    axis = {"tensor": None, "channel0": 0, "channel1": 1}[mode]
+    explicit = draw(st.booleans())
+    return values, config, axis, explicit
+
+
+class TestStreamingQuantizerProperties:
+    @given(case=streaming_cases(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unchunked_formula_and_rng_stream(self, case, seed):
+        values, config, axis, explicit = case
+        if axis is not None:
+            assume(values.size > 0)
+        with np.errstate(invalid="ignore"):
+            expected_scale = reference_scale(values, config, axis)
+            scale = expected_scale * 1.5 if explicit else None
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            q, got_scale = quantize(values, config, scale=scale, axis=axis, rng=rng)
+            expected = reference_quantize(
+                values, config, got_scale if explicit else expected_scale, axis,
+                reference_rng)
+        np.testing.assert_array_equal(
+            got_scale, expected_scale * 1.5 if explicit else expected_scale)
+        assert q.dtype == expected.dtype and q.shape == values.shape
+        np.testing.assert_array_equal(q, expected)
+        assert rng.random() == reference_rng.random()
 
 
 class TestFFLossProperties:

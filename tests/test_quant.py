@@ -1,8 +1,12 @@
 """Tests for the quantization substrate (SUQ, rounding, INT8 kernels)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import FFInt8Config, FFInt8Trainer, build_model
+from repro.data import synthetic_cifar10
 from repro.nn import Conv2d, Linear, Sequential
 from repro.quant import (
     Int8Engine,
@@ -27,6 +31,7 @@ from repro.quant import (
     round_stochastic,
     strip_int8,
 )
+from repro.quant.suq import CHUNK
 
 
 class TestQuantConfig:
@@ -125,6 +130,45 @@ class TestSUQ:
         q, scale = quantize(np.zeros(10, dtype=np.float32), QuantConfig())
         np.testing.assert_array_equal(q, np.zeros(10, dtype=np.int8))
         assert scale > 0
+
+
+class TestStreamingQuantize:
+    def test_seed_zero_is_honoured(self):
+        values = np.random.default_rng(5).normal(size=(64, 64)).astype(np.float32)
+        expected, _ = quantize(values, QuantConfig(seed=3), rng=np.random.default_rng(0))
+        for seed in (1, 2):
+            q, _ = quantize(values, QuantConfig(seed=seed), rng=0)
+            np.testing.assert_array_equal(q, expected)
+
+    def test_levels_divide_in_float64(self):
+        # 2.5 / (1 + 1e-10) lies just below 2.5 in float64, at 2.5 in float32.
+        values = np.array([2.5, -2.5], dtype=np.float32)
+        q, _ = quantize(values, QuantConfig(rounding="nearest"), scale=1.0 + 1e-10)
+        np.testing.assert_array_equal(q, [2, -2])
+
+    def test_peak_memory_is_output_plus_chunk(self):
+        """Besides the int8 output, only chunk-sized temporaries: no
+        full-size float64 copy for the scale, the levels or the noise."""
+        values = np.random.default_rng(6).normal(size=(16384, 16, 9)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            q, _ = quantize(values, QuantConfig(), rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= q.nbytes + 128 * CHUNK
+
+    def test_ff_int8_fit_ends_on_recorded_loss(self):
+        """Pins the quantizer's levels and RNG draws end to end: Int8Engine,
+        the look-ahead sweep and the optimizer over two λ > 0 epochs.  The
+        constant was recorded with NumPy 2 on x86-64; a change that moves it
+        changes the arithmetic or the random draws of training."""
+        train_set, _ = synthetic_cifar10(num_train=64, num_test=16, seed=3, image_size=16)
+        bundle = build_model("mobilenet_v2-mini", input_shape=(3, 16, 16), seed=3)
+        config = FFInt8Config(epochs=3, batch_size=32, evaluate_every=10 ** 6, seed=3)
+        history = FFInt8Trainer(config).fit(bundle, train_set)
+        assert history.records[-1].lambda_value > 0.0
+        assert history.train_losses[-1] == 210.64769363721643
 
 
 class TestQuantizedTensor:
