@@ -6,7 +6,7 @@ default (tracing disabled) adds only those checks to the hot path.  This
 benchmark holds that promise to a number two ways:
 
 * **check accounting** — the disabled-path guards (``maybe_trace``,
-  ``has_active_trace``, ``step_hooks_active``, ``tracing_enabled``) are
+  ``has_active_trace``, ``hooks_active``, ``tracing_enabled``) are
   timed in a tight loop, multiplied by how often one served request
   actually hits them (once per request at the batcher, once per batch at
   the engine, twice per plan step), and divided by the measured
@@ -123,20 +123,20 @@ def _measure(bench_mnist):
             lambda: maybe_trace("serve.request")
         ),
         "has_active_trace": _time_per_call_ns(has_active_trace),
-        "step_hooks_active": _time_per_call_ns(instrument.step_hooks_active),
+        "hooks_active": _time_per_call_ns(instrument.hooks_active),
         "tracing_enabled": _time_per_call_ns(tracing_enabled),
     }
     # How often one request pays each check on the serve hot path: the
     # batcher calls ``maybe_trace`` once per request; the engine checks
     # ``tracing_enabled`` once per coalesced batch; the executor checks
-    # ``has_active_trace`` and ``step_hooks_active`` once per plan step,
+    # ``has_active_trace`` and ``hooks_active`` once per plan step,
     # amortised over the batch.
     steps = len(engine.executor.plan.steps)
     checks_per_request_ns = (
         check_ns["maybe_trace"]
         + check_ns["tracing_enabled"] / ENGINE_BATCH
         + steps * (check_ns["has_active_trace"]
-                   + check_ns["step_hooks_active"]) / ENGINE_BATCH
+                   + check_ns["hooks_active"]) / ENGINE_BATCH
     )
     disabled_overhead_pct = 100.0 * (
         checks_per_request_ns / (1e9 * per_request_s)

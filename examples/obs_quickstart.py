@@ -87,8 +87,7 @@ def main() -> None:
 
     # 3. The slowest request's life, as a span tree.  Every hop is a span:
     #    batcher bookkeeping, the coalesced engine pass, and each kernel
-    #    step with its backend attribution (fused steps stay fused —
-    #    timing never changes what it measures).
+    #    step with the backend that ran it.
     print(f"\nslowest of {args.requests} traced requests:")
     for trace in slowest_traces(1):
         print(format_trace(trace))

@@ -183,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cache-size", type=int, default=0,
                        help="LRU prediction-cache capacity (0 disables; kept "
                             "off by default so the speedup is pure batching)")
-    bench.add_argument("--no-fuse", action="store_true",
-                       help="compile strictly unfused plans (step-per-module "
-                            "walk) — the serving A/B baseline for fusion")
     bench.add_argument("--trace", type=int, default=0, metavar="N",
                        help="trace every request through the batched phase "
                             "and print the N slowest request trees "
@@ -496,8 +493,7 @@ def _cmd_serve_bench(args) -> int:
     # micro-batcher re-applies the same pins at the same height, which is a
     # plan-cache hit on the memoized executor), so the report below matches
     # what serves.
-    engine = build_engine(artifact, backend=args.backend,
-                          fuse=not args.no_fuse)
+    engine = build_engine(artifact, backend=args.backend)
     # One cleanup path for every exit — normal, error, or Ctrl-C anywhere
     # from here on (including the single-sample baseline): the engine owns
     # the kernel-pool lifecycle and ``close()`` is idempotent, so the
@@ -546,8 +542,7 @@ def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        pins=pins, fuse=not args.no_fuse,
-        autoscale_wait=args.autoscale_wait,
+        pins=pins, autoscale_wait=args.autoscale_wait,
         min_wait_ms=args.min_wait_ms,
     )
     batcher = MicroBatcher(engine, config)
@@ -634,8 +629,7 @@ def _serve_bench_server(args, artifact, pins, model_version) -> int:
     hot-swap and canary against the live server.
     """
     def builder(frozen):
-        engine = build_engine(frozen, backend=args.backend,
-                              fuse=not args.no_fuse)
+        engine = build_engine(frozen, backend=args.backend)
         if pins:
             engine.apply_pins(pins, batch_size=args.max_batch_size)
         return engine
@@ -655,8 +649,8 @@ def _serve_bench_server(args, artifact, pins, model_version) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        pins=pins, fuse=not args.no_fuse,
-        autoscale_wait=args.autoscale_wait, min_wait_ms=args.min_wait_ms,
+        pins=pins, autoscale_wait=args.autoscale_wait,
+        min_wait_ms=args.min_wait_ms,
         default_deadline_ms=args.deadline_ms,
         max_queue_depth=args.max_queue_depth,
     )

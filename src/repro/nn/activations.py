@@ -29,9 +29,9 @@ class ReLU6(Module):
     """ReLU clipped at 6, as used by MobileNet-V2."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = (x > 0) & (x < 6.0)
-        self._store(mask=mask)
-        return np.clip(x, 0.0, 6.0).astype(np.float32)
+        if self.training and self.cache_activations:
+            self._store(mask=(x > 0) & (x < 6.0))
+        return np.clip(x, 0.0, 6.0).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = self._load("mask")

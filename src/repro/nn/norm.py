@@ -59,12 +59,14 @@ class _BatchNormBase(Module):
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._broadcast(mean, x.ndim)) * self._broadcast(inv_std, x.ndim)
-        out = self._broadcast(self.gamma.data, x.ndim) * x_hat + self._broadcast(
-            self.beta.data, x.ndim
-        )
+        # In place on fresh buffers: the same float32 ufunc sequence as
+        # ``gamma * ((x - mean) * inv_std) + beta``, minus two temporaries.
+        x_hat = x - self._broadcast(mean, x.ndim)
+        x_hat *= self._broadcast(inv_std, x.ndim)
+        out = self._broadcast(self.gamma.data, x.ndim) * x_hat
+        out += self._broadcast(self.beta.data, x.ndim)
         self._store(x_hat=x_hat, inv_std=inv_std)
-        return out.astype(np.float32)
+        return out.astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x_hat = self._load("x_hat")

@@ -21,7 +21,7 @@ line at <1%).  Hence:
   reproducible and the rejected-path cost is one integer increment.
 
 Span payloads are plain slotted objects created only on the traced path;
-attrs are small dicts of primitives (backend name, row counts, fused flag).
+attrs are small dicts of primitives (backend name, row and column counts).
 Parent links come from a thread-local span stack managed by the
 :func:`span` context manager, so nested instrumentation composes without
 threading ids through call signatures.
@@ -343,8 +343,9 @@ def format_trace(trace: Trace) -> str:
         ├─ batcher.enqueue  0.008 ms  [queue_depth=3]
         ├─ batcher.coalesce_wait  1.102 ms  [batch_size=8]
         └─ engine.predict  2.951 ms
-           ├─ unit0.fused  1.204 ms  [backend=fast fused=True rows=8]
-           └─ unit1.gemm  0.933 ms  [backend=shard fused=False rows=8]
+           ├─ unit0.gemm  1.021 ms  [backend=fast cols=784 rows=8]
+           ├─ unit0.activation  0.183 ms  [backend=fast cols=64 rows=8]
+           └─ unit1.gemm  0.933 ms  [backend=shard cols=64 rows=8]
     """
     spans = sorted(trace.spans(), key=lambda entry: entry.start_s)
     children: Dict[int, List[Span]] = {}

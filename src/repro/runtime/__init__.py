@@ -3,8 +3,8 @@
 One execution layer for every workload:
 
 * :func:`compile_plan` lowers an FF unit stack into a flat
-  :class:`ExecutionPlan` of kernel steps, optionally fusing
-  norm→gemm→activation runs and pinning individual layers to a backend;
+  :class:`ExecutionPlan` of kernel steps, optionally pinning individual
+  layers to a backend;
   :class:`PlanExecutor` runs it — training forward passes, goodness
   classification, readout features and batched serving all execute the
   same plan code.
@@ -65,7 +65,6 @@ _LAZY = {
     "step_kind": "repro.runtime.plan",
     "STEP_KINDS": "repro.runtime.plan",
     "AUTO_PINS": "repro.runtime.plan",
-    "activation_applier": "repro.runtime.plan",
     "PlanExecutor": "repro.runtime.executor",
     "forward_through_units": "repro.runtime.executor",
     "autopin": "repro.runtime.autopin",
@@ -112,7 +111,6 @@ __all__ = [
     "step_kind",
     "STEP_KINDS",
     "AUTO_PINS",
-    "activation_applier",
     "PlanExecutor",
     "forward_through_units",
     "autopin",

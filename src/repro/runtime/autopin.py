@@ -22,8 +22,8 @@ guess into a measurement:
 Only the exact, bit-identical builtin backends are candidates
 (:data:`AUTOPIN_CANDIDATES`): auto-pinning is a pure performance decision
 and must never route a layer onto an unverified user-registered backend.
-Non-GEMM steps (conv im2col, depthwise, norms outside fused groups) keep
-the ambient backend selection.
+Non-GEMM steps (depthwise, norms, activations, pools) keep the ambient
+backend selection.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def calibrate(
     The serving hot kernel (``rowwise_quantized_gemm``) stands in for the
     whole dense-GEMM surface: the backends differ by their tiling/IPC
     strategy, not by kernel-specific constants, so its crossover ranks them
-    for ``int8_gemm`` and the fused plan steps too.  Results are cached per
+    for ``int8_gemm`` and the float GEMM steps too.  Results are cached per
     (shape, candidates) for the life of the process; a full calibration of
     a few layer shapes stays in a ~100 ms budget.
 
@@ -294,22 +294,21 @@ def gemm_shape(step: KernelStep) -> Optional[Tuple[int, int]]:
     not GEMMs (their reduction is a per-position inner product) and return
     ``None`` — they keep the ambient backend selection.
     """
-    for sub in step.constituents:
-        if sub.kind not in ("gemm", "conv"):
-            continue
-        module = sub.module
-        engine = getattr(module, "quant_engine", None)
-        weight_qt = getattr(engine, "weight_qT", None)
-        if weight_qt is not None and getattr(weight_qt, "ndim", 0) == 2:
-            return int(weight_qt.shape[0]), int(weight_qt.shape[1])
-        weight = getattr(getattr(module, "weight", None), "data", None)
-        if weight is not None and weight.ndim >= 2:
-            # Linear: (out, in); Conv2d: (out, C, kh, kw) — both reduce
-            # over everything but the leading output axis.
-            return (
-                int(np.prod(weight.shape[1:], dtype=np.int64)),
-                int(weight.shape[0]),
-            )
+    if step.kind not in ("gemm", "conv"):
+        return None
+    module = step.module
+    engine = getattr(module, "quant_engine", None)
+    weight_qt = getattr(engine, "weight_qT", None)
+    if weight_qt is not None and getattr(weight_qt, "ndim", 0) == 2:
+        return int(weight_qt.shape[0]), int(weight_qt.shape[1])
+    weight = getattr(getattr(module, "weight", None), "data", None)
+    if weight is not None and weight.ndim >= 2:
+        # Linear: (out, in); Conv2d: (out, C, kh, kw) — both reduce over
+        # everything but the leading output axis.
+        return (
+            int(np.prod(weight.shape[1:], dtype=np.int64)),
+            int(weight.shape[0]),
+        )
     return None
 
 
@@ -324,50 +323,46 @@ def _propagate_shape(step: KernelStep, shape):
     """
     if shape is None:
         return None
-    for sub in step.constituents:
-        module = sub.module
-        kind = sub.kind
-        if kind in ("conv", "depthwise", "pool"):
-            output_shape = getattr(module, "output_shape", None)
-            if callable(output_shape) and len(shape) == 3:
-                try:
-                    shape = tuple(
-                        int(v) for v in output_shape((1,) + tuple(shape))[1:]
-                    )
-                except Exception:
-                    return None
-            elif kind == "pool" and len(shape) == 3 and not hasattr(
-                module, "kernel_size"
-            ):
-                shape = (shape[0],)  # global average pool -> (C,)
-            elif kind == "pool" and len(shape) == 3:
-                from repro.nn.functional import conv_output_size
+    module = step.module
+    kind = step.kind
+    if kind in ("conv", "depthwise", "pool"):
+        output_shape = getattr(module, "output_shape", None)
+        if callable(output_shape) and len(shape) == 3:
+            try:
+                return tuple(
+                    int(v) for v in output_shape((1,) + tuple(shape))[1:]
+                )
+            except Exception:
+                return None
+        if kind == "pool" and len(shape) == 3 and not hasattr(
+            module, "kernel_size"
+        ):
+            return (shape[0],)  # global average pool -> (C,)
+        if kind == "pool" and len(shape) == 3:
+            from repro.nn.functional import conv_output_size
 
-                kh, kw = module.kernel_size
-                sh, sw = module.stride
-                ph, pw = getattr(module, "padding", (0, 0))
-                try:
-                    shape = (
-                        shape[0],
-                        conv_output_size(shape[1], kh, sh, ph),
-                        conv_output_size(shape[2], kw, sw, pw),
-                    )
-                except ValueError:
-                    return None
-            else:
+            kh, kw = module.kernel_size
+            sh, sw = module.stride
+            ph, pw = getattr(module, "padding", (0, 0))
+            try:
+                return (
+                    shape[0],
+                    conv_output_size(shape[1], kh, sh, ph),
+                    conv_output_size(shape[2], kw, sw, pw),
+                )
+            except ValueError:
                 return None
-        elif kind == "reshape":
-            shape = (int(np.prod(shape, dtype=np.int64)),)
-        elif kind == "gemm":
-            weight = getattr(getattr(module, "weight", None), "data", None)
-            if weight is None:
-                return None
-            shape = (int(weight.shape[0]),)
-        elif kind in ("norm", "activation", "dropout", "identity"):
-            continue
-        else:  # opaque composite: output shape unknowable here
+        return None
+    if kind == "reshape":
+        return (int(np.prod(shape, dtype=np.int64)),)
+    if kind == "gemm":
+        weight = getattr(getattr(module, "weight", None), "data", None)
+        if weight is None:
             return None
-    return shape
+        return (int(weight.shape[0]),)
+    if kind in ("norm", "activation", "dropout", "identity"):
+        return shape
+    return None  # opaque composite: output shape unknowable here
 
 
 def _step_rows(
@@ -380,16 +375,9 @@ def _step_rows(
     shape = tuple(int(v) for v in input_shape) if input_shape else None
     for step in steps:
         step_rows = batch_rows
-        if shape is not None and len(shape) == 3 and any(
-            sub.kind == "conv" for sub in step.constituents
-        ):
-            conv = next(
-                sub for sub in step.constituents if sub.kind == "conv"
-            )
+        if shape is not None and len(shape) == 3 and step.kind == "conv":
             try:
-                _, _, out_h, out_w = conv.module.output_shape(
-                    (1,) + shape
-                )
+                _, _, out_h, out_w = step.module.output_shape((1,) + shape)
                 step_rows = batch_rows * int(out_h) * int(out_w)
             except Exception:
                 pass

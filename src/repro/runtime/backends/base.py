@@ -11,7 +11,7 @@ registering it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +27,6 @@ class Backend:
     #: holding frozen weights consult this so backends that never read the
     #: copy don't force its materialization.
     wants_f32_rhs = False
-
-    #: capability flag: True when the executor may run ``fused`` plan steps
-    #: through the ``fused_*`` kernels below.  The ``reference`` oracle keeps
-    #: this False, so fused plans automatically fall back to the seed
-    #: step-per-module walk there and stay bit-identical by construction.
-    supports_fusion = False
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Full-precision GEMM ``a @ b``."""
@@ -84,49 +78,6 @@ class Backend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Materialized per-row quantization ``(int8 levels, row scales)``."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # fused kernels (norm→gemm→activation plan steps)
-    # ------------------------------------------------------------------ #
-    # The default implementations compose the backend's own kernels with
-    # in-place bias/activation application on the freshly-allocated GEMM
-    # output — the same arithmetic as the unfused module walk, minus its
-    # intermediate materializations.  Subclasses may override with genuinely
-    # fused kernels; every override must keep the values identical to the
-    # unfused composition (the fusion parity tests enforce this).
-
-    def fused_ffnorm(self, x: np.ndarray, eps: float) -> np.ndarray:
-        """Sample-wise L2 length normalization (FFLayerNorm's arithmetic).
-
-        Skips the module layer's defensive output copy: the result feeds the
-        fused GEMM directly and is never cached.
-        """
-        flat = x.reshape(x.shape[0], -1)
-        norm = np.sqrt(np.sum(np.square(flat), axis=1, keepdims=True)) + eps
-        out_flat = flat / norm
-        return out_flat.reshape(x.shape).astype(np.float32, copy=False)
-
-    def fused_matmul_bias_act(
-        self,
-        x: np.ndarray,
-        weight_t: np.ndarray,
-        bias: Optional[np.ndarray] = None,
-        act: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> np.ndarray:
-        """``act(x @ weight_t + bias)`` without intermediate materialization.
-
-        ``act`` is an in-place activation applier (see
-        :func:`repro.runtime.plan.activation_applier`); bias addition and the
-        activation mutate the GEMM output buffer instead of allocating a new
-        array per op.
-        """
-        out = self.matmul(x, weight_t)
-        if bias is not None:
-            out += bias
-        out = out.astype(np.float32, copy=False)
-        if act is not None:
-            out = act(out)
-        return out
 
     # ------------------------------------------------------------------ #
     # resource lifecycle

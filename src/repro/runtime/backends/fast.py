@@ -58,7 +58,6 @@ class FastBackend(ReferenceBackend):
 
     name = "fast"
     wants_f32_rhs = True
-    supports_fusion = True
 
     def __init__(self) -> None:
         self._local = threading.local()

@@ -128,7 +128,6 @@ class ParallelBackend(FastBackend):
     """Tiled, threaded variant of the ``fast`` exact kernels."""
 
     name = "parallel"
-    supports_fusion = True
 
     def __init__(
         self,

@@ -388,7 +388,6 @@ class ShardBackend(ParallelBackend):
     """Multiprocess row-block sharding of the exact-float32 GEMM kernels."""
 
     name = "shard"
-    supports_fusion = True
 
     def __init__(
         self,
@@ -639,35 +638,34 @@ class ShardBackend(ParallelBackend):
             return
         wanted = []
         for step in plan.steps:
-            for sub in step.constituents:
-                engine = getattr(sub.module, "quant_engine", None)
-                if engine is None:
-                    continue
-                if sub.kind == "depthwise":
-                    # The sharded depthwise operand is the frozen int8
-                    # weight itself (staged as exact float32), provided its
-                    # kernel_area reduction stays inside the exact window.
-                    weight_q = getattr(engine, "weight_q", None)
-                    if (
-                        weight_q is not None
-                        and weight_q.dtype == np.int8
-                        and exact_f32_possible(
-                            weight_q.shape[-1], qmax=128, rhs_max=128
-                        )
-                    ):
-                        wanted.append(
-                            (weight_q,
-                             lambda a=weight_q: a.astype(np.float32))
-                        )
-                    continue
-                # Public staging hook on the frozen serve kernels (see
-                # FrozenInt8Kernel.rhs_f32_for); engines without it —
-                # training-side kernels that re-derive weights — have
-                # nothing stable to stage.
-                hook = getattr(engine, "rhs_f32_for", None)
-                rhs_f32 = hook(self) if callable(hook) else None
-                if rhs_f32 is not None:
-                    wanted.append((rhs_f32, lambda a=rhs_f32: a))
+            engine = getattr(step.module, "quant_engine", None)
+            if engine is None:
+                continue
+            if step.kind == "depthwise":
+                # The sharded depthwise operand is the frozen int8
+                # weight itself (staged as exact float32), provided its
+                # kernel_area reduction stays inside the exact window.
+                weight_q = getattr(engine, "weight_q", None)
+                if (
+                    weight_q is not None
+                    and weight_q.dtype == np.int8
+                    and exact_f32_possible(
+                        weight_q.shape[-1], qmax=128, rhs_max=128
+                    )
+                ):
+                    wanted.append(
+                        (weight_q,
+                         lambda a=weight_q: a.astype(np.float32))
+                    )
+                continue
+            # Public staging hook on the frozen serve kernels (see
+            # FrozenInt8Kernel.rhs_f32_for); engines without it —
+            # training-side kernels that re-derive weights — have
+            # nothing stable to stage.
+            hook = getattr(engine, "rhs_f32_for", None)
+            rhs_f32 = hook(self) if callable(hook) else None
+            if rhs_f32 is not None:
+                wanted.append((rhs_f32, lambda a=rhs_f32: a))
         with self._shard_lock:
             self._check_owner()
             # Grow the LRU bound to hold this plan *on top of* everything

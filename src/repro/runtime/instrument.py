@@ -6,24 +6,15 @@ Observers register an :class:`Instrumentation` hook and see the traffic of
 *any* backend — the op counting behind Table IV and the hardware profiler
 both plug in this way, so neither needs code inside the kernels themselves.
 
-Fused plan steps keep this contract intact: a fused GEMM emits exactly the
-MACs its constituent ops would (bias/activation passes were never counted as
-MACs on the unfused path either), and while any hook is registered the
-executor runs fused steps as the original step-per-module walk — so
-per-module observers (``on_module``) miss nothing and Table IV accounting is
-unchanged by fusion.
-
 :class:`OpCounts` (formerly ``repro.quant.int8_ops.OpCounts``, re-exported
 there for compatibility) is the canonical counter record;
 :class:`OpCountingHook` adapts it to the hook protocol.
 
-Step timing lives in a **separate registry** (:func:`register_step_hook`):
-``on_step`` observes each executed :class:`~repro.runtime.plan.KernelStep`
-with its wall-clock duration and the backend that ran it, *without*
-counting as an "active hook" — so a registered :class:`StepTimingHook`
-never forces the executor off the fused path the way per-module observers
-do.  That separation is the point: timing must measure the plan the
-process actually serves, fusion included.
+Step timing uses the same registry: ``on_step`` observes each executed
+:class:`~repro.runtime.plan.KernelStep` with its wall-clock duration and the
+backend that ran it.  The executor runs every step as its module whether or
+not anyone is listening, so a registered :class:`StepTimingHook` times
+exactly the plan the process serves.
 """
 
 from __future__ import annotations
@@ -98,12 +89,7 @@ class Instrumentation:
 
     def on_step(self, step: Any, duration_ms: float, backend: str,
                 rows: int) -> None:
-        """A plan :class:`~repro.runtime.plan.KernelStep` finished executing.
-
-        Fires only for hooks attached via :func:`register_step_hook`; unlike
-        the events above it does not disturb fusion, so ``duration_ms`` is
-        the time of the step as actually served (fused or not).
-        """
+        """A plan :class:`~repro.runtime.plan.KernelStep` finished executing."""
 
 
 class OpCountingHook(Instrumentation):
@@ -151,7 +137,6 @@ class OpCountingHook(Instrumentation):
 # another thread can never make them skip or double-fire a hook mid-walk
 # (mutating a shared list while iterating it could do both).
 _HOOKS: Tuple[Instrumentation, ...] = ()
-_STEP_HOOKS: Tuple[Instrumentation, ...] = ()
 _REGISTRY_LOCK = threading.Lock()
 
 
@@ -196,47 +181,12 @@ def counting(counts: Optional[OpCounts] = None) -> Iterator[OpCounts]:
         yield hook.counts
 
 
-# --------------------------------------------------------------------------- #
-# step-timing registry (does NOT force unfusing)
-# --------------------------------------------------------------------------- #
-def step_hooks_active() -> bool:
-    """Cheap executor guard: is anyone listening for step timings?"""
-    return bool(_STEP_HOOKS)
-
-
-def register_step_hook(hook: Instrumentation) -> Instrumentation:
-    """Attach a hook that receives ``on_step`` events.
-
-    Deliberately a separate registry from :func:`register_hook`: step hooks
-    do not flip :func:`hooks_active`, so the executor keeps running fused
-    steps fused and the timings describe production execution.
-    """
-    global _STEP_HOOKS
-    with _REGISTRY_LOCK:
-        _STEP_HOOKS = _STEP_HOOKS + (hook,)
-    return hook
-
-
-def unregister_step_hook(hook: Instrumentation) -> None:
-    """Detach a step-timing hook (no-op if absent)."""
-    global _STEP_HOOKS
-    with _REGISTRY_LOCK:
-        if hook in _STEP_HOOKS:
-            hooks = list(_STEP_HOOKS)
-            hooks.remove(hook)
-            _STEP_HOOKS = tuple(hooks)
-
-
 @contextmanager
 def step_timing(hook: Optional["StepTimingHook"] = None
                 ) -> Iterator["StepTimingHook"]:
     """Collect per-step timings for the duration of the block."""
-    hook = hook if hook is not None else StepTimingHook()
-    register_step_hook(hook)
-    try:
+    with instrumented(hook if hook is not None else StepTimingHook()) as hook:
         yield hook
-    finally:
-        unregister_step_hook(hook)
 
 
 @dataclass
@@ -252,10 +202,8 @@ class StepTiming:
 class StepTimingHook(Instrumentation):
     """Aggregate per-step wall-clock by ``(step name, backend)``.
 
-    Register through :func:`register_step_hook` (or the :func:`step_timing`
-    context manager) — never :func:`register_hook` — so measuring does not
-    change what is measured: fused steps stay fused and the aggregates
-    describe the plan as served.
+    Register like any hook, usually through the :func:`step_timing` context
+    manager.
     """
 
     def __init__(self) -> None:
@@ -334,8 +282,8 @@ def emit_module(module: Any, inputs: Any, output: Any) -> None:
 
 def emit_step(step: Any, duration_ms: float, backend: str,
               rows: int) -> None:
-    """Record a timed plan step (guard with :func:`step_hooks_active`)."""
-    for hook in _STEP_HOOKS:
+    """Record a timed plan step into every registered hook."""
+    for hook in _HOOKS:
         hook.on_step(step, duration_ms, backend, rows)
 
 
@@ -350,9 +298,6 @@ __all__ = [
     "unregister_hook",
     "instrumented",
     "counting",
-    "step_hooks_active",
-    "register_step_hook",
-    "unregister_step_hook",
     "step_timing",
     "emit_int8_macs",
     "emit_fp32_macs",

@@ -52,17 +52,9 @@ class ServeConfig:
         at construction, so they take effect even on an engine built
         without pins; engines that cannot honour pins (bare predict
         callables) are rejected.  The engine memoizes compiled plans per
-        ``(units_fingerprint, pins, fusion)`` key, so re-applying a pin
-        spec it has seen — including across repeated batcher restarts over
-        one engine — hits the cache instead of recompiling.
-    fuse:
-        Whether this deployment serves fused plans (conv/norm/gemm/
-        activation runs collapsed into single steps — the default).
-        ``False`` keeps the step-per-module walk, e.g. as a serving A/B
-        baseline.  The micro-batcher enforces it on its engine via
-        ``engine.set_fusion`` (plan-cache backed, so toggling is free);
-        an engine whose fusion mode cannot be switched is rejected when
-        the config disagrees with it.
+        ``(units_fingerprint, pins)`` key, so re-applying a pin spec it has
+        seen — including across repeated batcher restarts over one engine —
+        hits the cache instead of recompiling.
     autoscale_wait / min_wait_ms:
         When ``autoscale_wait`` is true the micro-batcher adapts its
         coalescing window to the queue-depth EWMA, between ``min_wait_ms``
@@ -104,7 +96,6 @@ class ServeConfig:
         request_timeout_s: float = 30.0,
         backend: Any = None,
         pins: Any = None,
-        fuse: bool = True,
         autoscale_wait: bool = False,
         min_wait_ms: float = 0.0,
         autoscale_workers: bool = False,
@@ -149,7 +140,6 @@ class ServeConfig:
             self.pins: Any = AUTO_PINS
         else:
             self.pins = dict(validate_pins(pins)) if pins else None
-        self.fuse = bool(fuse)
         self.autoscale_wait = bool(autoscale_wait)
         self.min_wait_ms = float(min_wait_ms)
 
@@ -214,7 +204,6 @@ class ServeConfig:
             "request_timeout_s": self.request_timeout_s,
             "backend": getattr(self.backend, "name", self.backend),
             "pins": self.pins,
-            "fuse": self.fuse,
             "autoscale_wait": self.autoscale_wait,
             "min_wait_ms": self.min_wait_ms,
             "autoscale_workers": self.autoscale_workers,

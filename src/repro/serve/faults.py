@@ -11,7 +11,7 @@ This module provides those as data, not monkey-patching:
 * :class:`FaultyEngine` — wraps any engine the
   :class:`~repro.serve.batcher.MicroBatcher` accepts and applies a
   schedule to its ``predict``.  Everything else (``input_shape``,
-  ``fuse``, ``close``…) proxies through, so a wrapped
+  ``apply_pins``, ``close``…) proxies through, so a wrapped
   :class:`~repro.serve.engine.Int8InferenceEngine` is indistinguishable
   from a healthy one between injected faults.
 * :func:`flaky_factory` — an engine factory whose first *N* constructions
@@ -78,7 +78,7 @@ class FaultyEngine:
     """An engine wrapper that fails and stalls on schedule.
 
     ``predict`` counts calls (thread-safely) and consults the schedule;
-    every other attribute — ``input_shape``, ``fuse``, ``num_classes``,
+    every other attribute — ``input_shape``, ``num_classes``,
     ``apply_pins`` — resolves on the wrapped engine, so the batcher's
     config-enforcement handshakes all still work.
     """

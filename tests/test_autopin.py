@@ -84,8 +84,8 @@ class TestResolution:
         units = _int8_units()
         plan = compile_plan(units, flatten_input=True)
         shapes = [gemm_shape(step) for step in plan.steps]
-        assert shapes[0] == (64, 16)   # 8x8 flattened -> 16 hidden
-        assert shapes[1] == (16, 16)
+        # norm, gemm, activation per unit; 8x8 flattened -> 16 hidden.
+        assert shapes == [None, (64, 16), None, None, (16, 16), None]
 
         from repro.nn.linear import Linear
         from repro.runtime.plan import KernelStep
@@ -103,11 +103,13 @@ class TestAutopinSteps:
         cases = [TimingCase(320, 64, 16, {"fast": 0.5, "parallel": 0.1,
                                           "shard": 0.9})]
         pinned = autopin_steps(plan.steps, batch_rows=320, cases=cases)
-        assert [step.backend for step in pinned] == ["parallel", "parallel"]
+        assert [step.backend for step in pinned] == [
+            "parallel" if step.kind == "gemm" else None for step in pinned
+        ]
 
     def test_non_gemm_steps_pass_through(self):
         units = _int8_units()
-        plan = compile_plan(units, flatten_input=True, fuse=False)
+        plan = compile_plan(units, flatten_input=True)
         cases = [TimingCase(320, 64, 16, {"fast": 0.1})]
         pinned = autopin_steps(plan.steps, cases=cases)
         for step in pinned:
@@ -123,14 +125,19 @@ class TestAutopinSteps:
         pinned = autopin_fn(plan, cases=cases)
         assert pinned is not plan
         assert all(step.backend is None for step in plan.steps)
-        assert all(step.backend == "fast" for step in pinned.steps)
+        assert [step.backend for step in pinned.steps] == [
+            "fast" if step.kind == "gemm" else None for step in pinned.steps
+        ]
 
     def test_dispatch_reexport(self):
         units = _int8_units()
         plan = compile_plan(units, flatten_input=True)
         cases = [TimingCase(320, 64, 16, {"fast": 0.1, "parallel": 0.2})]
         pinned = dispatch.autopin(plan, cases=cases)
-        assert all(step.backend == "fast" for step in pinned.steps)
+        assert all(
+            step.backend == "fast"
+            for step in pinned.steps if step.kind == "gemm"
+        )
 
 
 class TestRecordedTimings:
@@ -188,7 +195,9 @@ class TestRecordedTimings:
         monkeypatch.setenv(KERNEL_MICRO_ENV_VAR, str(path))
         units = _int8_units()
         plan = compile_plan(units, flatten_input=True, pins="auto")
-        assert [step.backend for step in plan.steps] == ["parallel", "parallel"]
+        assert [
+            step.backend for step in plan.steps if step.kind == "gemm"
+        ] == ["parallel", "parallel"]
 
 
 class TestCalibrationFallback:
@@ -245,7 +254,8 @@ class TestCalibrationFallback:
                             auto_rows=64)
         # Every GEMM step must be resolved to one of the exact candidates.
         for step in plan.steps:
-            assert step.backend in AUTOPIN_CANDIDATES
+            if step.kind == "gemm":
+                assert step.backend in AUTOPIN_CANDIDATES
 
     def test_autopinned_plan_stays_bit_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv(KERNEL_MICRO_ENV_VAR, str(tmp_path / "nope.json"))

@@ -1,22 +1,27 @@
 """Cross-backend conv conformance suite.
 
-The conv serving path (BatchNorm-folded fused conv steps, im2col'd INT8
-GEMMs, process-sharded depthwise products) is only trusted because every
-optimized codepath is proven bit-identical to the seed reference walk —
-the same gate DALC applies to its optimized decode path.  This suite sweeps
-kernel size / stride / padding / channels across all four backends, fused
-and unfused, float and frozen-INT8, and pins down:
+The conv serving path (im2col'd INT8 GEMMs, eval-mode BatchNorm,
+process-sharded depthwise products) is only trusted because every optimized
+backend is proven bit-identical to the seed reference walk — the same gate
+DALC applies to its optimized decode path.  This suite sweeps kernel size /
+stride / padding / channels across all four backends, float and
+frozen-INT8, and pins down:
 
 * conv / depthwise / conv+BN / conv+BN+activation outputs equal the
-  ``reference`` backend's unfused module walk bit for bit — including
-  1x1 convolutions, single-row feature maps, and non-contiguous inputs;
-* eval-mode BatchNorm folding over *trained* running statistics leaves the
-  ResNet/MobileNet logits bit-identical to the unfolded seed forward;
-* training mode refuses to fold: the module walk runs (running statistics
-  keep updating) and the numbers still match the unfused plan.
+  ``reference`` backend's module walk bit for bit — including 1x1
+  convolutions, single-row feature maps, and non-contiguous inputs;
+* engines over *trained* BatchNorm running statistics give ResNet/MobileNet
+  logits bit-identical to the ``reference`` engine on every backend;
+* a stored golden digest of the mobilenet_v2-mini goodness matrix catches
+  any drift in eval-mode BatchNorm (or other conv-path) arithmetic, which
+  the ``reference`` comparison cannot — it runs the very same modules;
+* training mode updates the BatchNorm running statistics on every forward
+  and still matches the ``reference`` plan.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -54,7 +59,7 @@ DEPTHWISE_CASES = [
 
 
 def _randomize_bn(unit: Sequential, rng: np.random.Generator) -> None:
-    """Non-trivial BatchNorm statistics so the fold is not a no-op."""
+    """Non-trivial BatchNorm statistics so the normalization is not a no-op."""
     for module in unit.modules():
         if isinstance(module, BatchNorm2d):
             module.running_mean = rng.normal(
@@ -119,24 +124,19 @@ def _eval_units(units, rng, quantized):
 
 
 def _assert_conformance(units, x):
-    """Every backend x fused/unfused equals the reference unfused walk."""
-    expected = PlanExecutor.for_units(
-        units, backend="reference", fuse=False
-    ).forward(x)
+    """Every backend equals the reference module walk."""
+    expected = PlanExecutor.for_units(units, backend="reference").forward(x)
     for name in BACKENDS:
-        for fuse in (False, True):
-            got = PlanExecutor.for_units(
-                units, backend=name, fuse=fuse
-            ).forward(x)
-            np.testing.assert_array_equal(
-                got, expected,
-                err_msg=f"backend={name} fuse={fuse} diverged from the "
-                        f"seed reference forward",
-            )
+        got = PlanExecutor.for_units(units, backend=name).forward(x)
+        np.testing.assert_array_equal(
+            got, expected,
+            err_msg=f"backend={name} diverged from the seed reference "
+                    f"forward",
+        )
 
 
 class TestConvConformance:
-    """Conv sweep: every backend, fused and unfused, vs the seed walk."""
+    """Conv sweep: every backend vs the seed walk."""
 
     @pytest.mark.parametrize("quantized", [False, True],
                              ids=["float", "int8"])
@@ -189,7 +189,7 @@ class TestConvConformance:
         _assert_conformance(units, x)
 
     def test_linear_batchnorm_activation_bit_identical(self):
-        """The gemm→BatchNorm1d→activation fold (dense-model flavor)."""
+        """gemm→BatchNorm1d→activation (dense-model flavor)."""
         from repro.nn.linear import Linear
         from repro.nn.norm import BatchNorm1d
 
@@ -232,25 +232,27 @@ class TestConvConformance:
         )
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         expected = PlanExecutor.for_units(
-            units, backend="reference", fuse=False
+            units, backend="reference"
         ).forward(x)
         with ShardBackend(num_workers=2, min_rows=1,
                           min_rows_per_shard=1) as backend:
-            for fuse in (False, True):
-                got = PlanExecutor.for_units(
-                    units, backend=backend, fuse=fuse
-                ).forward(x)
-                np.testing.assert_array_equal(
-                    got, expected,
-                    err_msg=f"sharded conv path diverged (fuse={fuse})",
-                )
+            got = PlanExecutor.for_units(units, backend=backend).forward(x)
+            np.testing.assert_array_equal(
+                got, expected, err_msg="sharded conv path diverged"
+            )
 
 
 # --------------------------------------------------------------------------- #
-# golden-fingerprint BatchNorm-folding regressions
+# trained-BatchNorm engines and the golden goodness digest
 # --------------------------------------------------------------------------- #
-def _trained_engine_pair(model_name, input_shape, fuse_backend, seed=0):
-    """(fused engine, unfused engine, inputs) over trained BN statistics."""
+#: blake2b-128 of the float32 goodness matrix :func:`_trained_engine` serves
+#: for mobilenet_v2-mini (seed 0, 3x16x16 inputs).  Identical on every
+#: backend; any change to the conv path's arithmetic moves it.
+MOBILENET_GOODNESS_DIGEST = "18bbb89353791466c2fb26e90697b8eb"
+
+
+def _trained_engine(model_name, input_shape, backend, seed=0):
+    """(engine, inputs) for an artifact frozen over trained BN statistics."""
     bundle = build_model(model_name, input_shape=input_shape, seed=seed)
     units = bundle.ff_units()
     rng = np.random.default_rng(seed + 100)
@@ -265,22 +267,17 @@ def _trained_engine_pair(model_name, input_shape, fuse_backend, seed=0):
     for unit in units:
         unit.eval()
     artifact = export_artifact(units, bundle, overlay_amplitude=2.0)
-    fused = build_engine(
+    engine = build_engine(
         artifact, build_model(model_name, input_shape=input_shape,
                               seed=seed + 1),
-        backend=fuse_backend, fuse=True,
-    )
-    unfused = build_engine(
-        artifact, build_model(model_name, input_shape=input_shape,
-                              seed=seed + 2),
-        backend="reference", fuse=False,
+        backend=backend,
     )
     inputs = rng.normal(size=(5,) + input_shape).astype(np.float32)
-    return fused, unfused, inputs
+    return engine, inputs
 
 
 class TestBatchNormFoldingGolden:
-    """Folding a trained checkpoint must not move a single logit bit."""
+    """Trained BatchNorm statistics: every backend, and a stored digest."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("model, shape", [
@@ -290,16 +287,33 @@ class TestBatchNormFoldingGolden:
     def test_folded_logits_match_unfolded_seed_forward(
         self, model, shape, backend
     ):
-        fused, unfused, inputs = _trained_engine_pair(model, shape, backend)
-        np.testing.assert_array_equal(
-            fused.goodness_matrix(inputs), unfused.goodness_matrix(inputs),
-            err_msg=f"BatchNorm folding moved {model} logits on {backend}",
+        engine, inputs = _trained_engine(model, shape, backend)
+        expected, _ = _trained_engine(model, shape, "reference")
+        with engine, expected:
+            np.testing.assert_array_equal(
+                engine.goodness_matrix(inputs),
+                expected.goodness_matrix(inputs),
+                err_msg=f"{model} goodness diverged on {backend}",
+            )
+            np.testing.assert_array_equal(
+                engine.predict(inputs), expected.predict(inputs)
+            )
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_mobilenet_goodness_matches_golden_digest(self, backend):
+        engine, inputs = _trained_engine(
+            "mobilenet_v2-mini", (3, 16, 16), backend
         )
-        np.testing.assert_array_equal(
-            fused.predict(inputs), unfused.predict(inputs)
-        )
+        with engine:
+            matrix = np.ascontiguousarray(
+                engine.goodness_matrix(inputs), dtype=np.float32
+            )
+        digest = hashlib.blake2b(matrix.tobytes(), digest_size=16)
+        assert matrix.shape == (5, 10)
+        assert digest.hexdigest() == MOBILENET_GOODNESS_DIGEST
 
     def test_training_mode_refuses_to_fold(self):
+        """Training mode normalizes by batch statistics and updates them."""
         rng = np.random.default_rng(23)
         unit = _conv_unit((3, 3), (1, 1), (1, 1), 3, 6, True, ReLU, 8)
         _randomize_bn(unit, rng)
@@ -308,31 +322,28 @@ class TestBatchNormFoldingGolden:
         bn = next(m for m in unit.modules() if isinstance(m, BatchNorm2d))
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
 
-        # The unfused training walk is the ground truth: BN normalizes by
+        # The reference training walk is the ground truth: BN normalizes by
         # batch statistics and mutates the running buffers.
         mean_before = bn.running_mean.copy()
         reference = PlanExecutor.for_units(
-            [unit], backend="reference", fuse=False
+            [unit], backend="reference"
         ).forward(x)
         mean_after_walk = bn.running_mean.copy()
         assert not np.array_equal(mean_before, mean_after_walk)
 
-        # The fused plan must fall back to the same walk: identical output
-        # AND another running-statistics update — a fold would freeze them.
-        fused_out = PlanExecutor.for_units(
-            [unit], backend="fast", fuse=True
-        ).forward(x)
-        np.testing.assert_array_equal(fused_out, reference)
+        # The fast plan gives the same output AND another running-statistics
+        # update.
+        fast_out = PlanExecutor.for_units([unit], backend="fast").forward(x)
+        np.testing.assert_array_equal(fast_out, reference)
         assert not np.array_equal(bn.running_mean, mean_after_walk)
 
-        # Back in eval mode the very same plan folds again (and the stats
-        # stop moving).
+        # Back in eval mode the statistics stop moving and the backends
+        # still agree.
         unit.eval()
         frozen = bn.running_mean.copy()
-        executor = PlanExecutor.for_units([unit], backend="fast", fuse=True)
-        eval_fused = executor.forward(x)
-        eval_unfused = PlanExecutor.for_units(
-            [unit], backend="reference", fuse=False
+        eval_fast = PlanExecutor.for_units([unit], backend="fast").forward(x)
+        eval_reference = PlanExecutor.for_units(
+            [unit], backend="reference"
         ).forward(x)
-        np.testing.assert_array_equal(eval_fused, eval_unfused)
+        np.testing.assert_array_equal(eval_fast, eval_reference)
         np.testing.assert_array_equal(bn.running_mean, frozen)

@@ -284,14 +284,14 @@ class TestFaults:
     def test_faulty_engine_proxies_attributes(self):
         class Base:
             input_shape = (3, 3)
-            fuse = True
+            version = "v7"
 
             def predict(self, batch):
                 return np.zeros(len(batch), dtype=np.int64)
 
         engine = FaultyEngine(Base())
         assert engine.input_shape == (3, 3)
-        assert engine.fuse is True
+        assert engine.version == "v7"
 
     def test_flaky_factory_heals_after_n_builds(self):
         factory = flaky_factory(_sum_engine, fail_first=2)

@@ -74,6 +74,36 @@ class TestBatchNorm:
         x = np.random.default_rng(5).normal(size=(10, 3))
         check_parameter_gradients(bn, x, rtol=2e-2, atol=2e-3)
 
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 4, 5, 5)])
+    def test_forward_matches_out_of_place_formula(self, shape, dtype, training):
+        rng = np.random.default_rng(12)
+        bn = (BatchNorm1d if len(shape) == 2 else BatchNorm2d)(4)
+        bn.running_mean = rng.normal(size=4).astype(np.float32)
+        bn.running_var = rng.random(4).astype(np.float32) + 0.25
+        bn.gamma.data[...] = rng.normal(size=4).astype(np.float32)
+        bn.beta.data[...] = rng.normal(size=4).astype(np.float32)
+        bn.train(training)
+        x = rng.normal(size=shape).astype(dtype)
+        original = x.copy()
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        stat_shape = (1, 4) + (1,) * (len(shape) - 2)
+        if training:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+        else:
+            mean, var = bn.running_mean, bn.running_var
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        x_hat = (x - mean.reshape(stat_shape)) * inv_std.reshape(stat_shape)
+        expected = (
+            bn.gamma.data.reshape(stat_shape) * x_hat
+            + bn.beta.data.reshape(stat_shape)
+        ).astype(np.float32)
+        out = bn(x)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(x, original)
+
 
 class TestFFLayerNorm:
     def test_unit_norm_output(self):
@@ -123,6 +153,20 @@ class TestActivations:
     def test_relu6_clips_above_six(self):
         out = ReLU6()(np.array([[-1.0, 3.0, 9.0]], dtype=np.float32))
         np.testing.assert_array_equal(out, [[0.0, 3.0, 6.0]])
+
+    def test_relu6_caches_mask_only_when_training_with_caching(self):
+        x = np.array([[-1.0, 3.0, 9.0]], dtype=np.float32)
+        layer = ReLU6()
+        layer(x)
+        assert "mask" in layer._cache
+        layer.clear_cache()
+        layer.set_activation_caching(False)
+        layer(x)
+        assert not layer._cache
+        layer.set_activation_caching(True)
+        layer.eval()
+        np.testing.assert_array_equal(layer(x), [[0.0, 3.0, 6.0]])
+        assert not layer._cache
 
     def test_sigmoid_range(self):
         out = Sigmoid()(np.linspace(-50, 50, 11).reshape(1, -1).astype(np.float32))

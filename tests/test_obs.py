@@ -26,7 +26,7 @@ from repro.obs import (
     use_trace,
 )
 from repro.obs import trace as trace_module
-from repro.runtime import available_backends, instrument
+from repro.runtime import instrument
 from repro.runtime.executor import PlanExecutor
 from repro.serve.metrics import DEFAULT_SAMPLE_CAP, ServeMetrics, _Reservoir
 
@@ -208,15 +208,15 @@ class TestTracing:
         trace = maybe_trace("serve.request")
         with use_trace(trace):
             with span("engine.predict"):
-                with span("unit0.fused", rows=8) as attrs:
+                with span("unit0.gemm", rows=8) as attrs:
                     attrs["backend"] = "fast"
         finish_trace(trace)
         spans = {entry.name: entry for entry in trace.spans()}
         assert spans["engine.predict"].parent_id == 0
-        assert spans["unit0.fused"].parent_id == spans[
+        assert spans["unit0.gemm"].parent_id == spans[
             "engine.predict"
         ].span_id
-        assert spans["unit0.fused"].attrs == {"rows": 8, "backend": "fast"}
+        assert spans["unit0.gemm"].attrs == {"rows": 8, "backend": "fast"}
         assert trace.duration_ms > 0
 
     def test_use_trace_is_thread_local(self):
@@ -260,7 +260,7 @@ class TestTracing:
             with span("batcher.enqueue", queue_depth=3):
                 pass
             with span("engine.predict"):
-                with span("unit0.fused", backend="fast"):
+                with span("unit0.gemm", backend="fast"):
                     pass
         finish_trace(trace)
         text = format_trace(trace)
@@ -269,7 +269,7 @@ class TestTracing:
         assert "├─ batcher.enqueue" in lines[1]
         assert "[queue_depth=3]" in lines[1]
         assert "└─ engine.predict" in lines[2]
-        assert lines[3].startswith("   ") and "unit0.fused" in lines[3]
+        assert lines[3].startswith("   ") and "unit0.gemm" in lines[3]
 
     def test_as_dict_is_json_shaped(self):
         enable_tracing()
@@ -379,24 +379,6 @@ class TestServeMetricsBounded:
 # step timing + executor integration
 # ---------------------------------------------------------------------- #
 class TestStepTiming:
-    def test_step_hooks_do_not_force_unfusing(self):
-        units = _mlp_units()
-        executor = PlanExecutor.for_units(units, flatten_input=True)
-        assert [s.kind for s in executor.plan.steps] == ["fused", "fused"]
-        x = np.random.default_rng(0).normal(size=(4, 64)).astype(np.float32)
-        with instrument.step_timing() as hook:
-            assert not instrument.hooks_active()  # fusion undisturbed
-            executor.forward(x)
-        timings = hook.timings()
-        assert len(timings) == 2
-        for (name, backend), timing in timings.items():
-            assert "fused" in name
-            assert backend in available_backends()
-            assert timing.calls == 1
-            assert timing.rows == 4
-            assert timing.total_ms >= 0.0
-        assert "backend" in hook.format_report()
-
     @pytest.mark.parametrize("backend", ["reference", "fast", "parallel",
                                          "shard"])
     def test_timing_hook_never_changes_outputs(self, backend):
@@ -408,9 +390,15 @@ class TestStepTiming:
         with instrument.step_timing() as hook:
             observed = executor.forward(x)
         np.testing.assert_array_equal(baseline, observed)
-        assert sum(t.calls for t in hook.timings().values()) == len(
-            executor.plan.steps
-        )
+        timings = hook.timings()
+        # One aggregate per step, each attributed to the backend that ran it.
+        assert len(timings) == len(executor.plan.steps)
+        for (_, step_backend), timing in timings.items():
+            assert step_backend == backend
+            assert timing.calls == 1
+            assert timing.rows == 6
+            assert timing.total_ms >= 0.0
+        assert "backend" in hook.format_report()
 
     def test_traced_forward_attributes_backends_to_steps(self):
         units = _mlp_units()
@@ -419,17 +407,17 @@ class TestStepTiming:
         x = np.random.default_rng(2).normal(size=(4, 64)).astype(np.float32)
         enable_tracing()
         trace = maybe_trace("engine.predict")
-        # eval mode: training-mode units legitimately refuse to run fused
-        # (activation caching / BatchNorm stats), which would show up here
-        # as an honest ``fused=False`` attribution.
         with executor.inference_mode(), use_trace(trace):
             executor.forward(x)
         finish_trace(trace)
         step_spans = [s for s in trace.spans() if s.name.startswith("unit")]
-        assert [s.name for s in step_spans] == ["unit0.fused", "unit1.fused"]
+        assert [s.name for s in step_spans] == [
+            f"unit{unit}.{kind}"
+            for unit in (0, 1)
+            for kind in ("norm", "gemm", "activation")
+        ]
         for entry in step_spans:
             assert entry.attrs["backend"] == "fast"
-            assert entry.attrs["fused"] is True
             assert entry.attrs["rows"] == 4
 
     def test_register_unregister_race_during_execution(self):
@@ -444,8 +432,8 @@ class TestStepTiming:
             try:
                 while not stop.is_set():
                     hook = instrument.StepTimingHook()
-                    instrument.register_step_hook(hook)
-                    instrument.unregister_step_hook(hook)
+                    instrument.register_hook(hook)
+                    instrument.unregister_hook(hook)
             except Exception as error:  # pragma: no cover
                 errors.append(error)
 
@@ -460,9 +448,9 @@ class TestStepTiming:
             for worker in churners:
                 worker.join()
         assert errors == []
-        assert not instrument.step_hooks_active()
+        assert not instrument.hooks_active()
 
     def test_unregister_absent_hook_is_noop(self):
         hook = instrument.StepTimingHook()
-        instrument.unregister_step_hook(hook)  # must not raise
-        assert not instrument.step_hooks_active()
+        instrument.unregister_hook(hook)  # must not raise
+        assert not instrument.hooks_active()

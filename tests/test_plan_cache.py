@@ -1,7 +1,7 @@
 """Serve-engine plan memoization and shard weight-staging lifecycle tests.
 
-The engine caches compiled plans per ``(units_fingerprint, pins, fusion)``
-key so ``apply_pins`` (and the micro-batcher re-applying config pins) stops
+The engine caches compiled plans per ``(units_fingerprint, pins)`` key
+so ``apply_pins`` (and the micro-batcher re-applying config pins) stops
 recompiling; the shard backend's fingerprint staging must survive plan
 swaps so a recompile never re-copies unchanged conv weights into shared
 memory; and ``close()`` must drop every cached plan's staged segments
@@ -100,45 +100,6 @@ class TestPlanCache:
         # A different measurement height is a different resolution.
         other = conv_engine.apply_pins("auto", batch_size=64).executor
         assert other is not first
-
-    def test_set_fusion_swaps_between_memoized_plans(self, conv_engine):
-        fused = conv_engine.executor
-        unfused = conv_engine.set_fusion(False).executor
-        assert unfused is not fused
-        assert not any(
-            step.kind == "fused" for step in unfused.plan.steps
-        )
-        # Toggling back is a cache hit on the original fused plan.
-        assert conv_engine.set_fusion(True).executor is fused
-        assert conv_engine.plan_compiles == 2
-
-    def test_serve_config_fuse_enforced_on_engine(self, conv_engine):
-        x = np.zeros((3, 16, 16), dtype=np.float32)
-        config = ServeConfig(max_batch_size=4, max_wait_ms=0.0, fuse=False,
-                             cache_capacity=0)
-        with MicroBatcher(conv_engine, config) as batcher:
-            assert conv_engine.fuse is False
-            assert not any(
-                step.kind == "fused"
-                for step in conv_engine.executor.plan.steps
-            )
-            batcher.predict(x)
-        # A bare predict callable cannot switch fusion: config must reject
-        # — whether it reports a fusion mode or not (no silent fused
-        # serving under a fuse=False config).
-        class _Fixed:
-            fuse = True
-
-            def predict(self, batch):  # pragma: no cover - rejected
-                return np.zeros(len(batch), dtype=np.int64)
-
-        class _Unreported:
-            def predict(self, batch):  # pragma: no cover - rejected
-                return np.zeros(len(batch), dtype=np.int64)
-
-        for engine in (_Fixed(), _Unreported()):
-            with pytest.raises(TypeError):
-                MicroBatcher(engine, config)
 
     def test_micro_batcher_restart_reuses_cached_plan(self, conv_engine):
         config = ServeConfig(max_batch_size=4, max_wait_ms=0.0,

@@ -420,7 +420,7 @@ class TestEnginePoolLifecycle:
         engine.apply_pins("auto", batch_size=16)
         assert all(
             step.backend is not None
-            for step in engine.executor.plan.steps
+            for step in engine.executor.plan.steps if step.kind == "gemm"
         )
         np.testing.assert_array_equal(engine.predict(inputs), baseline)
         engine.close()
