@@ -57,9 +57,9 @@ def save_experiment(result: ExperimentResult) -> Path:
     Every record carries a ``meta`` block (CPU count, NumPy/BLAS build,
     active kernel backend) so wall-clock numbers measured on different
     machines are distinguishable.  The telemetry registry snapshot rides
-    along as ``meta.obs`` — plan compiles, shard pool churn, serve counters
-    — so a drifted record can be checked for a *behavioural* cause (extra
-    compiles, pool resets) before blaming the machine.
+    along as ``meta.obs`` — plan compiles, autopin calibrations, serve
+    counters — so a drifted record can be checked for a *behavioural* cause
+    (extra compiles, replica restarts) before blaming the machine.
     """
     payload = result.as_dict()
     payload["meta"] = machine_meta()

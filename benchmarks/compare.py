@@ -83,10 +83,11 @@ def _obs_context(baseline: dict, fresh: dict) -> List[str]:
     """Behavioural-counter diffs between two records' ``meta.obs`` blocks.
 
     When a wall-clock key drifts, the first question is whether the two
-    runs did the same *work*: a record that recompiled plans, restarted a
-    shard pool, or regrew IPC rings is slower for a reason the telemetry
-    names outright.  Only counters are compared — gauges and histograms
-    are point-in-time and load-shaped, so their drift is expected.
+    runs did the same *work*: a record that recompiled plans, re-ran
+    autopin calibration, or restarted replicas is slower for a reason the
+    telemetry names outright.  Only counters are compared — gauges and
+    histograms are point-in-time and load-shaped, so their drift is
+    expected.
     """
     base_counters = ((baseline.get("meta") or {}).get("obs") or {}).get(
         "counters"

@@ -6,17 +6,14 @@ backend win (or regression) is attributable.  Five kernel cases run on every
 registered backend:
 
 * ``gemm_large``    — INT8 GEMM at a deliberately wide shape (the case the
-  CI bench-smoke job watches: ``parallel`` must not lose to ``fast`` here,
-  and on multi-core hosts ``shard`` must beat ``parallel``).
+  CI bench-smoke job watches: ``parallel`` must not lose to ``fast`` here).
 * ``rowwise_serve`` — fused per-row quantize + GEMM at the folded-label
   serving shape (10 labels x 32 requests of a 14x14 MLP).
 * ``conv_cols``     — the same fused quantize+GEMM at an im2col'd conv
   shape (positions are rows: a 64-channel 3x3 conv over a batch of
-  16x16 feature maps) — the ResNet/MobileNet serving hot path, where the
-  shard backend ships column blocks through its ring buffers.
+  16x16 feature maps) — the ResNet/MobileNet serving hot path.
 * ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet hot path
-  the parallel backend took off the reference integer-einsum kernels
-  (``depthwise`` now also process-sharded on the shard backend).
+  the parallel backend took off the reference integer-einsum kernels.
 
 This record doubles as the data source for measured auto-pinning
 (:mod:`repro.runtime.autopin` reads the per-shape, per-backend timings and
@@ -142,7 +139,6 @@ def test_kernel_microbenchmark(benchmark):
         float_format="{:.3f}",
     ))
 
-    shard_workers = getattr(get_backend("shard"), "shard_workers", 1)
     result = ExperimentResult(
         experiment_id="kernel_micro",
         paper_reference="runtime backends (not in paper)",
@@ -154,14 +150,11 @@ def test_kernel_microbenchmark(benchmark):
             "rowwise_serve": [SERVE_ROWS, SERVE_IN, SERVE_OUT],
             "conv_cols": [CONV_ROWS, CONV_K, CONV_N],
             "depthwise": [DW_POSITIONS, DW_CHANNELS, DW_KERNEL],
-            "shard_workers": shard_workers,
         },
         results=measured,
         notes="All backends verified bit-identical to reference before "
-              "timing; timings are wall-clock on shared hardware.  On "
-              "single-core hosts the shard backend delegates everything, "
-              "so its numbers track parallel there.  This record also "
-              "feeds measured auto-pinning (--pin auto).",
+              "timing; timings are wall-clock on shared hardware.  This "
+              "record also feeds measured auto-pinning (--pin auto).",
     )
     save_experiment(result)
 
@@ -176,45 +169,7 @@ def test_kernel_microbenchmark(benchmark):
                 f"parallel lost to fast on gemm_large "
                 f"({parallel_large:.3f}ms vs {fast_large:.3f}ms)"
             )
-    # Shard contract, both directions.  The never-regress band only holds
-    # where threshold delegation actually engages (single worker, or rows
-    # below min_rows) — there shard *is* parallel plus a branch.  Where
-    # sharding genuinely runs, IPC overhead on a sub-millisecond kernel is
-    # legitimate jitter, so the band would only make strict CI noisy.
-    shard_backend = get_backend("shard")
-    shard_large = timings["gemm_large"].get("shard")
-    shard_serve = timings["rowwise_serve"].get("shard")
-    parallel_serve = timings["rowwise_serve"].get("parallel")
-    for case, rows, shard_ms, other_ms in (
-        ("gemm_large", LARGE_M, shard_large, parallel_large),
-        ("rowwise_serve", SERVE_ROWS, shard_serve, parallel_serve),
-    ):
-        delegates = shard_workers == 1 or rows < shard_backend.min_rows
-        if delegates and shard_ms is not None and other_ms is not None:
-            if shard_ms > 1.25 * other_ms:
-                complaints.append(
-                    f"shard regressed vs parallel on {case} "
-                    f"({shard_ms:.3f}ms vs {other_ms:.3f}ms) — threshold "
-                    f"delegation should make this shape free"
-                )
-    # The >=1.3x expectation needs real cores to shard across: with only
-    # one extra worker process (2-core hosts, i.e. hosted CI runners) the
-    # IPC overhead eats the single extra core, so the multiprocess win is
-    # only demanded from >=4 workers.  The never-regress band above still
-    # applies everywhere.
-    if shard_workers >= 4 and shard_large is not None and (
-        parallel_large is not None
-    ):
-        if shard_large > parallel_large / 1.3:
-            complaints.append(
-                f"shard ({shard_workers} workers) did not beat parallel "
-                f">=1.3x on gemm_large ({shard_large:.3f}ms vs "
-                f"{parallel_large:.3f}ms)"
-            )
     for complaint in complaints:
         emit(f"ADVISORY: {complaint}")
-    # Release the shard worker processes before pytest moves on; the
-    # backend restarts them lazily if a later benchmark shards again.
-    get_backend("shard").shutdown()
     if STRICT:
         assert not complaints, "; ".join(complaints)

@@ -5,12 +5,12 @@ Two halves, one import surface:
 * :mod:`repro.obs.trace` — structured request tracing.  Spans with parent
   links record each hop of a request's life (batcher enqueue → coalesce
   wait → cache/dedup → plan execution → per-``KernelStep`` timing with
-  backend attribution → shard IPC) into a bounded ring buffer.  Off by
-  default; ``REPRO_TRACE_SAMPLE`` or :func:`enable_tracing` turn it on.
+  backend attribution) into a bounded ring buffer.  Off by default;
+  ``REPRO_TRACE_SAMPLE`` or :func:`enable_tracing` turn it on.
 * :mod:`repro.obs.registry` — a process-wide metrics registry (counters,
-  gauges, fixed-bucket histograms) that the serve stack, plan cache, shard
-  pool and autopin publish into, exportable as a JSON snapshot or
-  Prometheus text exposition.
+  gauges, fixed-bucket histograms) that the serve stack, plan cache and
+  autopin publish into, exportable as a JSON snapshot or Prometheus text
+  exposition.
 
 Both are stdlib+NumPy only and import nothing from the rest of ``repro``,
 so any module — including low-level backends — may depend on them without

@@ -1,11 +1,11 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 Every control loop the serving stack grows — queue-depth shedding, canary
-rollback, shard-worker heartbeats — needs *live, scrapeable* signals, not
+rollback, replica restarts — needs *live, scrapeable* signals, not
 post-hoc report tables.  The registry is that signal plane: named metrics
 that :class:`~repro.serve.metrics.ServeMetrics`, the micro-batcher's
-autoscalers, the engine's plan cache, the shard pool and ``autopin`` all
-publish into, readable two ways:
+autoscalers, the engine's plan cache and ``autopin`` all publish into,
+readable two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, attached to
   benchmark records (``meta.obs``) and the ``serve-bench --output`` summary
@@ -17,9 +17,9 @@ publish into, readable two ways:
 Design constraints, in order: **hot-path cheapness** (a counter increment is
 one lock + one add; histograms take whole batches per lock acquisition via
 :meth:`Histogram.observe_many` and keep fixed buckets — no per-sample
-storage, ever), **thread safety** (serve workers, shard parents and client
-threads all publish concurrently), and **zero dependencies** (stdlib +
-NumPy only, so any module in the repo may import it without cycles).
+storage, ever), **thread safety** (serve workers, kernel pool threads
+and client threads all publish concurrently), and **zero dependencies**
+(stdlib + NumPy only, so any module in the repo may import it without cycles).
 
 Metrics follow the Prometheus naming idiom: ``repro_`` prefix, base units
 in the name (``_ms``, ``_bytes``), ``_total`` suffix on counters.  Labelled

@@ -3,9 +3,9 @@
 Answers the question no aggregate can: *where did this request's 4 ms go?*
 A :class:`Trace` is one request's tree of :class:`Span` records — batcher
 enqueue, coalesce wait, cache/dedup checks, plan execution, every
-``KernelStep`` with the backend that ran it, shard IPC round-trips — held
-in a bounded thread-safe ring buffer (newest ``REPRO_TRACE_BUFFER`` traces,
-default 256) that ``serve-bench --trace N`` and ``obs-snapshot`` read back.
+``KernelStep`` with the backend that ran it — held in a bounded
+thread-safe ring buffer (newest ``REPRO_TRACE_BUFFER`` traces, default
+256) that ``serve-bench --trace N`` and ``obs-snapshot`` read back.
 
 The design is dominated by one requirement: **tracing off must cost nearly
 nothing** on the serve hot path (the overhead guard benchmark holds the
@@ -87,8 +87,7 @@ class Span:
 
 class Trace:
     """One request's spans.  Span id 0 is the root; children append under a
-    lock because a traced request crosses threads (client → batch worker →
-    shard parent)."""
+    lock because a traced request crosses threads (client → batch worker)."""
 
     __slots__ = ("trace_id", "name", "start_s", "duration_ms", "attrs",
                  "_spans", "_lock", "_next_id")
@@ -345,7 +344,7 @@ def format_trace(trace: Trace) -> str:
         └─ engine.predict  2.951 ms
            ├─ unit0.gemm  1.021 ms  [backend=fast cols=784 rows=8]
            ├─ unit0.activation  0.183 ms  [backend=fast cols=64 rows=8]
-           └─ unit1.gemm  0.933 ms  [backend=shard cols=64 rows=8]
+           └─ unit1.gemm  0.933 ms  [backend=parallel cols=64 rows=8]
     """
     spans = sorted(trace.spans(), key=lambda entry: entry.start_s)
     children: Dict[int, List[Span]] = {}

@@ -10,14 +10,13 @@ One execution layer for every workload:
   same plan code.
 * :mod:`repro.runtime.backends` hosts the kernel backends: ``reference``
   (the seed NumPy arithmetic), ``fast`` (exact-float32 BLAS integer GEMMs
-  with preallocated scratch), ``parallel`` (row-block thread tiling of
-  the fast kernels plus float32/numba depthwise products) and ``shard``
-  (multiprocess row-block sharding through shared-memory segments for
-  many-core hosts).  Select with the ``REPRO_BACKEND`` environment
-  variable, :func:`set_default_backend`, a config's ``backend`` field, the
-  CLI ``--backend`` flag, or per layer with plan pins — hand-written specs
-  or ``pins="auto"``, which resolves each layer to the measured winner via
-  :mod:`repro.runtime.autopin`; every backend is bit-identical.
+  with preallocated scratch) and ``parallel`` (row-block thread tiling of
+  the fast kernels plus float32/numba depthwise products).  Select with
+  the ``REPRO_BACKEND`` environment variable, :func:`set_default_backend`,
+  a config's ``backend`` field, the CLI ``--backend`` flag, or per layer
+  with plan pins — hand-written specs or ``pins="auto"``, which resolves
+  each layer to the measured winner via :mod:`repro.runtime.autopin`;
+  every backend is bit-identical.
 * :mod:`repro.runtime.instrument` exposes the dispatch layer's
   instrumentation hooks — :class:`OpCounts`/:class:`OpCountingHook` for
   Table IV op accounting and arbitrary observers for profiling — which see
@@ -36,7 +35,6 @@ from repro.runtime.backends import (
     FastBackend,
     ParallelBackend,
     ReferenceBackend,
-    ShardBackend,
     available_backends,
     get_backend,
     register_backend,

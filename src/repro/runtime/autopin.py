@@ -1,8 +1,8 @@
 """Measured auto-pinning: resolve per-layer backends from timing data.
 
 Hand-written ``--pin`` specs encode a human's guess about which backend wins
-at which layer shape; with four backends (``reference``/``fast``/
-``parallel``/``shard``) that guess does not scale.  This module turns the
+at which layer shape; with three backends (``reference``/``fast``/
+``parallel``) that guess does not scale.  This module turns the
 guess into a measurement:
 
 * :func:`load_recorded_cases` reads the committed kernel microbenchmark
@@ -63,7 +63,7 @@ def _count_pinned_step(backend: str) -> None:
 
 #: backends auto-pinning may choose between, in preference order for ties —
 #: all bit-identical, so a wrong pick can only cost time, never a number.
-AUTOPIN_CANDIDATES = ("fast", "parallel", "shard")
+AUTOPIN_CANDIDATES = ("fast", "parallel")
 
 #: default expected GEMM rows when the caller gives no batch hint: the
 #: serve-shaped folded readout (10 label overlays x 32 coalesced requests).
@@ -188,12 +188,8 @@ def time_rowwise_kernel(
 ) -> float:
     """Best-of wall-clock (ms) of one fused quantize+GEMM case.
 
-    The single timing harness every measured routing decision shares —
-    :func:`calibrate` ranks backends with it and
-    :meth:`ShardBackend.calibrate_min_rows <repro.runtime.backends.shard.ShardBackend.calibrate_min_rows>`
-    finds its delegation crossover with it — so the two calibrations can
-    never measure subtly different things.  Operands are seeded, so equal
-    (shape, seed) calls time identical data.
+    :func:`calibrate` ranks backends with it.  Operands are seeded, so
+    equal (shape, seed) calls time identical data.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(rows, reduce_dim)).astype(np.float32)
@@ -216,33 +212,24 @@ def calibrate(
     """Time the fused quantize+GEMM at ``shapes`` on each candidate backend.
 
     The serving hot kernel (``rowwise_quantized_gemm``) stands in for the
-    whole dense-GEMM surface: the backends differ by their tiling/IPC
+    whole dense-GEMM surface: the backends differ by their tiling
     strategy, not by kernel-specific constants, so its crossover ranks them
     for ``int8_gemm`` and the float GEMM steps too.  Results are cached per
     (shape, candidates) for the life of the process; a full calibration of
     a few layer shapes stays in a ~100 ms budget.
-
-    The measurement models the serving steady state — one weight operand
-    reused across repeats, so shard's fingerprint staging is a cache hit
-    exactly as it is for a frozen engine.  Training-style workloads that
-    re-derive weights per step pay shard a per-call staging cost this
-    ranking does not include (their batches normally delegate below the
-    shard row threshold, where the ranking is unaffected).
     """
     from repro.runtime.backends import available_backends, get_backend
 
     registered = set(available_backends())
     names = [name for name in candidates if name in registered]
-    # Pool-owning backends whose workers the *measurement* starts (process
-    # pools, or the thread pool shard's delegated path uses) are released
-    # again afterwards: a candidate that loses everywhere would otherwise
-    # keep workers alive with no engine owning (and eventually closing)
-    # them.  Winners restart their pool lazily on the first real kernel
-    # call, and staged weight segments survive (stop_workers, not
-    # shutdown).
+    # Pool-owning backends whose pool the *measurement* starts are
+    # released again afterwards: a candidate that loses everywhere would
+    # otherwise keep worker threads alive with no engine owning (and
+    # eventually closing) them.  Winners restart their pool lazily on the
+    # first real kernel call.
     idle_before = [
         backend for backend in (get_backend(name) for name in names)
-        if not getattr(backend, "workers_active", True)
+        if not getattr(backend, "pool_active", True)
     ]
     measured = False
     calibration_started = time.perf_counter()
@@ -269,11 +256,8 @@ def calibrate(
             (time.perf_counter() - calibration_started) * 1e3
         )
         for backend in idle_before:
-            if getattr(backend, "workers_active", False):
-                # Workers-only teardown: a full shutdown would also unlink
-                # weight segments that other engines staged against this
-                # (shared) backend instance.
-                backend.stop_workers()
+            if backend.pool_active:
+                backend.shutdown()
     return cases
 
 
@@ -425,7 +409,7 @@ def autopin_steps(
     the plan's own layer shapes.  GEMM-bearing steps include the im2col'd
     convolutions: with ``input_shape`` (the per-sample ``(C, H, W)``) their
     expected rows scale by the conv's feature-map positions — the height
-    the sharded column blocks actually run at.  Steps without a resolvable
+    the im2col column blocks actually run at.  Steps without a resolvable
     GEMM shape (depthwise, pools, opaque modules) pass through unpinned.
     """
     from dataclasses import replace

@@ -4,9 +4,8 @@ Backends are registered by name and instantiated once (they may hold
 per-thread scratch state and worker pools).  ``reference`` is the seed NumPy
 arithmetic, ``fast`` the BLAS-tiled exact-float32 variant, ``parallel`` the
 row-block-threaded tiling of the fast kernels (plus float32/numba depthwise
-products), and ``shard`` the multiprocess row-block sharding of the exact
-GEMMs through shared-memory segments; all four are bit-identical on every
-input, so selection is purely a performance knob —
+products); all three are bit-identical on every input, so selection is
+purely a performance knob —
 :func:`repro.runtime.autopin.autopin` picks per layer from measured data.
 """
 
@@ -18,7 +17,6 @@ from repro.runtime.backends.base import Backend
 from repro.runtime.backends.fast import FastBackend, exact_f32_possible
 from repro.runtime.backends.parallel import ParallelBackend
 from repro.runtime.backends.reference import ReferenceBackend, integer_matmul
-from repro.runtime.backends.shard import ShardBackend
 
 _FACTORIES: Dict[str, Callable[[], Backend]] = {}
 _INSTANCES: Dict[str, Backend] = {}
@@ -54,14 +52,12 @@ def get_backend(name: Union[str, Backend]) -> Backend:
 register_backend("reference", ReferenceBackend)
 register_backend("fast", FastBackend)
 register_backend("parallel", ParallelBackend)
-register_backend("shard", ShardBackend)
 
 __all__ = [
     "Backend",
     "ReferenceBackend",
     "FastBackend",
     "ParallelBackend",
-    "ShardBackend",
     "register_backend",
     "available_backends",
     "get_backend",

@@ -4,9 +4,8 @@ A backend supplies the handful of dense kernels every execution path in the
 repo reduces to.  Callers (the nn layers, the training INT8 engine, the
 frozen serving kernels) never compute a GEMM themselves — they route through
 :mod:`repro.runtime.dispatch`, which picks the active backend and feeds the
-instrumentation hooks.  Adding a backend (numba, multiprocess sharding, a
-real accelerator) means implementing this protocol in one file and
-registering it.
+instrumentation hooks.  Adding a backend (a real accelerator) means
+implementing this protocol in one file and registering it.
 """
 
 from __future__ import annotations
@@ -82,30 +81,21 @@ class Backend:
     # ------------------------------------------------------------------ #
     # resource lifecycle
     # ------------------------------------------------------------------ #
-    # Backends that own pools (worker threads, worker processes, shared
-    # memory) override :meth:`shutdown`; it must be idempotent, and a
-    # backend must transparently restart its pool on the next kernel call
-    # after a shutdown.  The base implementations make every backend usable
-    # as a context manager so tests and short-lived tools release resources
-    # deterministically instead of at interpreter exit.
+    # Backends that own pools (worker threads) override :meth:`shutdown`;
+    # it must be idempotent, and a backend must transparently restart its
+    # pool on the next kernel call after a shutdown.  The base
+    # implementations make every backend usable as a context manager so
+    # tests and short-lived tools release resources deterministically
+    # instead of at interpreter exit.
 
     def shutdown(self) -> None:
-        """Release pools/segments owned by this backend (idempotent)."""
+        """Release pools owned by this backend (idempotent)."""
 
     def __enter__(self) -> "Backend":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    def stage_plan_weights(self, plan) -> None:
-        """Pre-stage a compiled plan's frozen weight operands (hook).
-
-        Called by :meth:`repro.runtime.executor.PlanExecutor.stage_shared_weights`
-        once per plan so backends that keep weights in out-of-process storage
-        (shared-memory segments) pay the staging copy before the first
-        request instead of on it.  The default is a no-op.
-        """
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

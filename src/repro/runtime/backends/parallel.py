@@ -197,31 +197,10 @@ class ParallelBackend(FastBackend):
     def pool_active(self) -> bool:
         """True while a worker pool this process owns is live.
 
-        Shared contract with :class:`ShardBackend` — callers that start a
-        pool as a side effect (autopin calibration) consult it to release
-        pools no engine will ever close.
+        Callers that start a pool as a side effect (autopin calibration)
+        consult it to release pools no engine will ever close.
         """
         return self._pool is not None and self._pool_pid == os.getpid()
-
-    @property
-    def workers_active(self) -> bool:
-        """True when *any* worker resource (threads or processes) is live.
-
-        :attr:`pool_active` keeps backend-specific semantics (the shard
-        subclass reports its process pool there); this is the
-        union view calibration uses to decide what it started.
-        """
-        return self.pool_active
-
-    def stop_workers(self) -> None:
-        """Release worker resources without touching cached operands.
-
-        For the thread-pool backend this is simply :meth:`shutdown` (it
-        owns no shared segments); the shard subclass overrides both this
-        and :meth:`shutdown` to separate worker teardown from staged-weight
-        invalidation.
-        """
-        self.shutdown()
 
     def shutdown(self) -> None:
         """Join and release the worker-thread pool (idempotent).

@@ -116,18 +116,6 @@ class PlanExecutor:
         """Distinct backend names this executor's plan can route to."""
         return sorted(backend.name for backend in self.step_backend_objs())
 
-    def stage_shared_weights(self) -> None:
-        """Give every involved backend a chance to pre-stage plan weights.
-
-        Backends that keep weight operands in out-of-process storage (the
-        ``shard`` backend's shared-memory segments) override
-        :meth:`~repro.runtime.backends.base.Backend.stage_plan_weights`;
-        for all others this is a no-op.  Engines over frozen plans call it
-        once at construction so the first served request pays no staging.
-        """
-        for backend in self.step_backend_objs():
-            backend.stage_plan_weights(self.plan)
-
     def _prepare(self, inputs: np.ndarray) -> np.ndarray:
         if self.plan.flatten_input:
             return inputs.reshape(inputs.shape[0], -1)

@@ -55,9 +55,8 @@ _OBS_PLAN_CACHE_HITS = get_registry().counter(
 # Every live engine registers in this WeakSet so one interpreter-exit hook
 # is the single last-resort cleanup path: whatever an interrupted caller
 # (Ctrl-C mid-bench, a crashed test) leaves open still gets its kernel
-# pools stopped and shard segments unlinked.  ``close()`` stays the primary
-# path and is idempotent, so the hook double-closing an already-closed
-# engine is free.
+# pools stopped.  ``close()`` stays the primary path and is idempotent, so
+# the hook double-closing an already-closed engine is free.
 _LIVE_ENGINES: "weakref.WeakSet" = weakref.WeakSet()
 _ATEXIT_LOCK = threading.Lock()
 _ATEXIT_REGISTERED = False
@@ -152,13 +151,8 @@ class FrozenInt8Kernel:
     def rhs_f32_for(self, backend) -> Optional[np.ndarray]:
         """The stable float32 GEMM operand this kernel feeds ``backend``.
 
-        Public staging hook: backends that keep weights in out-of-process
-        storage (:meth:`ShardBackend.stage_plan_weights
-        <repro.runtime.backends.shard.ShardBackend.stage_plan_weights>`)
-        fingerprint this exact array, so it must be the same object the
-        hot path later passes as ``rhs_f32`` — which it is: both routes
-        share this method.  Returns ``None`` when the backend never reads
-        a float32 copy or the reduction is not exact in float32.
+        Returns ``None`` when the backend never reads a float32 copy or the
+        reduction is not exact in float32.
         """
         if not (self._exact_f32 and backend.wants_f32_rhs):
             return None
@@ -353,9 +347,6 @@ class Int8InferenceEngine:
         # resolves them from measured timings at the folded-label batch
         # height).
         self.executor = self._executor_for(pins, self._auto_rows())
-        # Backends with out-of-process weight storage (shard) stage the
-        # frozen weights once now, not on the first served request.
-        self.executor.stage_shared_weights()
         _register_live_engine(self)
 
     # ------------------------------------------------------------------ #
@@ -408,9 +399,8 @@ class Int8InferenceEngine:
     def _units_fingerprint(units: Sequence[Module]) -> str:
         """Content digest over every frozen parameter of the unit stack.
 
-        The same blake2b family the shard backend fingerprints staged
-        weight segments with; computed once at construction (the engine's
-        weights are immutable) and folded into every plan-cache key.
+        Computed once at construction (the engine's weights are immutable)
+        and folded into every plan-cache key.
         """
         digest = hashlib.blake2b(digest_size=16)
         for index, unit in enumerate(units):
@@ -483,22 +473,16 @@ class Int8InferenceEngine:
         chaining.
         """
         self.executor = self._executor_for(pins, self._auto_rows(batch_size))
-        # Cheap on a cache hit: weights staged for this plan are fingerprint
-        # token hits in the shard backend's segment cache.  Still called so
-        # a closed-then-reused engine restages into fresh segments.
-        self.executor.stage_shared_weights()
         return self
 
     def close(self) -> None:
         """Release kernel-backend pools this engine's plans route to.
 
         The engine owns the serving pool lifecycle: closing it shuts down
-        the worker pools (thread or process) of every backend any of its
-        **cached** plans — not just the active one — is pinned or
-        configured to use, which also unlinks the shard segments those
-        plans staged (no shared memory outlives the engine).  Backends
-        restart their pools lazily, so closing a shared backend is safe
-        for other engines — they pay one pool restart, never a wrong
+        the worker-thread pools of every backend any of its **cached**
+        plans — not just the active one — is pinned or configured to use.
+        Backends restart their pools lazily, so closing a shared backend is
+        safe for other engines — they pay one pool restart, never a wrong
         answer.  Idempotent.
         """
         executors = list(getattr(self, "_plan_cache", {}).values())

@@ -2,8 +2,8 @@
 
 The robustness tests (and ``serve-bench``'s chaos smoke) need failures that
 are *repeatable*: a replica that dies on exactly the third batch, a stall
-of exactly 200 ms on the first call, a shard worker SIGKILLed mid-GEMM.
-This module provides those as data, not monkey-patching:
+of exactly 200 ms on the first call.  This module provides those as data,
+not monkey-patching:
 
 * :class:`FaultSchedule` — which engine calls fail, which stall, and for
   how long, keyed by the call index (0-based, counted across the engine's
@@ -17,17 +17,12 @@ This module provides those as data, not monkey-patching:
 * :func:`flaky_factory` — an engine factory whose first *N* constructions
   yield engines that fail immediately: the knob for exercising the
   supervisor's capped-exponential restart backoff.
-* :func:`kill_one_shard_worker` — SIGKILLs a live shard-pool worker under
-  an engine, driving the pool's reset path exactly as a real OOM kill
-  would.
 * :func:`flood` — saturates an intake queue with concurrent submissions
   to provoke shedding (and, during a drain, ``draining`` sheds).
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -164,50 +159,6 @@ def flaky_factory(
     return factory
 
 
-def _shard_backends_of(engine) -> List:
-    """Every shard-style backend (owning worker processes) under ``engine``."""
-    executors = list(getattr(engine, "_plan_cache", {}).values())
-    executor = getattr(engine, "executor", None)
-    if executor is not None and executor not in executors:
-        executors.append(executor)
-    backends, seen = [], set()
-    for ex in executors:
-        for backend in ex.step_backend_objs():
-            if id(backend) in seen:
-                continue
-            seen.add(id(backend))
-            if getattr(backend, "_workers", None):
-                backends.append(backend)
-    return backends
-
-
-def shard_worker_pids(engine) -> List[int]:
-    """PIDs of live shard-pool workers serving ``engine`` (may be empty)."""
-    pids: List[int] = []
-    for backend in _shard_backends_of(engine):
-        for process, _conn in list(getattr(backend, "_workers", [])):
-            pid = getattr(process, "pid", None)
-            if pid and process.is_alive():
-                pids.append(pid)
-    return pids
-
-
-def kill_one_shard_worker(engine) -> Optional[int]:
-    """SIGKILL one live shard worker under ``engine``.
-
-    Returns the killed PID, or ``None`` when the engine has no live shard
-    workers (single-worker inline mode, or a non-shard backend).  The next
-    sharded call then takes the pool's documented reset path: detect the
-    dead worker, tear the pool down, raise the retryable reset error, and
-    respawn on the call after.
-    """
-    pids = shard_worker_pids(engine)
-    if not pids:
-        return None
-    os.kill(pids[0], signal.SIGKILL)
-    return pids[0]
-
-
 def flood(
     submit: Callable[[np.ndarray], Any],
     sample: np.ndarray,
@@ -233,7 +184,5 @@ __all__ = [
     "FaultSchedule",
     "FaultyEngine",
     "flaky_factory",
-    "shard_worker_pids",
-    "kill_one_shard_worker",
     "flood",
 ]

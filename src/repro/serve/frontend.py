@@ -240,8 +240,7 @@ class ServeFrontend:
            explicit outcome, bounded by ``timeout`` (default the config's
            ``drain_timeout_s``).
         3. **Close the pool** — the supervisor drains each replica batcher
-           and closes every engine, which shuts down kernel worker pools
-           and unlinks shard segments.
+           and closes every engine, which shuts down kernel worker pools.
 
         Idempotent; :meth:`close` calls it before stopping the loop.
         """

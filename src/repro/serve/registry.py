@@ -11,9 +11,8 @@ Three properties do the heavy lifting:
 * **Fingerprint dedup.**  Every registered artifact is fingerprinted
   (blake2b over its frozen tensors, the same digest family the engine uses
   for its plan-cache key).  Two versions with identical frozen params map
-  to *one* canonical engine — one set of staged shard segments, one plan
-  cache — so re-registering yesterday's weights under a new version label
-  costs nothing.
+  to *one* canonical engine — one plan cache — so re-registering
+  yesterday's weights under a new version label costs nothing.
 * **Atomic swap.**  Traffic routing lives in an immutable
   :class:`RoutingSnapshot` replaced wholesale under a single lock.
   ``swap(name, version)`` flips which version new requests resolve to;
@@ -83,7 +82,7 @@ def artifact_fingerprint(artifact: InferenceArtifact) -> str:
 
     blake2b over the sorted tensor names and raw bytes — the registry's
     dedup key.  Two versions with equal fingerprints share one engine
-    (hence one set of staged shard segments and one plan cache).
+    (hence one plan cache).
     """
     hasher = hashlib.blake2b(digest_size=16)
     for key in sorted(artifact.tensors):
@@ -439,7 +438,7 @@ class ModelRegistry:
 
         Built lazily on first use and memoized per *fingerprint*, not per
         version: versions with identical frozen params share one engine,
-        one set of staged shard segments, one plan cache.
+        one plan cache.
         """
         model = self.resolve(ref)
         with self._engine_lock:
@@ -589,7 +588,7 @@ class ModelRegistry:
         """Close every canonical engine exactly once (idempotent).
 
         Engine ``close()`` shuts down each cached plan's kernel backends
-        (worker pools, shard segments); fingerprint-shared engines are
+        (worker pools); fingerprint-shared engines are
         closed once, and shared backends tolerate double close.
         """
         with self._lock:

@@ -1,8 +1,8 @@
 """Supervised pool of inference-engine replicas with restart-and-reroute.
 
-One engine (plus its micro-batcher) is a single point of failure: a shard
-worker SIGKILL, a wedged kernel pool or any engine-pass exception takes the
-whole serving path down with it.  The :class:`ReplicaSupervisor` removes
+One engine (plus its micro-batcher) is a single point of failure: a wedged
+kernel pool or any engine-pass exception takes the whole serving path down
+with it.  The :class:`ReplicaSupervisor` removes
 that coupling:
 
 * **Replicas.**  Engines are grouped into per-model **replica sets** (one
@@ -19,13 +19,12 @@ that coupling:
   replica while the request's deadline still has budget.
 * **Supervision.**  A monitor thread restarts failed replicas with capped
   exponential backoff (``restart_backoff_ms`` doubling up to
-  ``restart_backoff_max_ms``): close the old engine (which triggers the
-  kernel pools' own reset paths — the shard pool already tears down and
-  respawns broken workers), build a fresh one from the set's factory,
-  probe it with a real forward pass, and only then route traffic back.  A
-  set removed mid-restart (a hot-swap retired its version) is never
-  resurrected: the restart discards the fresh engine instead of marking it
-  healthy.  Restart counts are published as
+  ``restart_backoff_max_ms``): close the old engine (which shuts down its
+  kernel worker pools; they restart lazily), build a fresh one from the
+  set's factory, probe it with a real forward pass, and only then route
+  traffic back.  A set removed mid-restart (a hot-swap retired its
+  version) is never resurrected: the restart discards the fresh engine
+  instead of marking it healthy.  Restart counts are published as
   ``repro_replica_restarts_total``; the healthy count is the
   ``repro_replicas_healthy`` gauge.
 
@@ -268,7 +267,7 @@ class ReplicaSupervisor:
         intake (each batcher sheds new work), flush in-flight batches
         (bounded by ``drain_timeout``, default the config's
         ``drain_timeout_s``), then close every engine — which shuts down
-        kernel worker pools and unlinks shard segments.  Idempotent.
+        kernel worker pools.  Idempotent.
         """
         with self._lock:
             if not self._running:

@@ -75,7 +75,6 @@ def machine_meta(backend: Optional[object] = None) -> Dict[str, Any]:
         "blas": _blas_info(),
         "backend": str(backend_name),
         "parallel_workers_env": os.environ.get("REPRO_PARALLEL_WORKERS"),
-        "shard_workers_env": os.environ.get("REPRO_SHARD_WORKERS"),
     }
 
 
@@ -85,7 +84,7 @@ def machine_meta(backend: Optional[object] = None) -> Dict[str, Any]:
 #: constrained pool does not speak for the same machine at full width.
 SAME_MACHINE_KEYS = (
     "cpu_count", "cpu_model", "machine", "numpy",
-    "parallel_workers_env", "shard_workers_env",
+    "parallel_workers_env",
 )
 
 

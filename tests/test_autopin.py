@@ -57,7 +57,7 @@ def _record(timings_small, timings_large, meta=None):
     }
 
 
-_FULL = {"fast": 1.0, "parallel": 2.0, "shard": 3.0, "reference": 9.0}
+_FULL = {"fast": 1.0, "parallel": 2.0, "reference": 9.0}
 
 
 class TestResolution:
@@ -100,8 +100,7 @@ class TestAutopinSteps:
     def test_steps_pinned_to_measured_winner(self):
         units = _int8_units()
         plan = compile_plan(units, flatten_input=True)
-        cases = [TimingCase(320, 64, 16, {"fast": 0.5, "parallel": 0.1,
-                                          "shard": 0.9})]
+        cases = [TimingCase(320, 64, 16, {"fast": 0.5, "parallel": 0.1})]
         pinned = autopin_steps(plan.steps, batch_rows=320, cases=cases)
         assert [step.backend for step in pinned] == [
             "parallel" if step.kind == "gemm" else None for step in pinned
@@ -158,12 +157,19 @@ class TestRecordedTimings:
         assert load_recorded_cases() is None
 
     def test_missing_candidate_backend_is_stale(self, tmp_path, monkeypatch):
-        partial = {"fast": 1.0, "parallel": 2.0}  # no shard timings
+        partial = {"fast": 1.0}  # no parallel timings
         path = tmp_path / "kernel_micro.json"
         path.write_text(json.dumps(_record(partial, partial)))
         monkeypatch.setenv(KERNEL_MICRO_ENV_VAR, str(path))
         assert load_recorded_cases() is None
-        assert load_recorded_cases(candidates=("fast", "parallel")) is not None
+        assert load_recorded_cases(candidates=("fast",)) is not None
+
+    def test_record_with_retired_shard_meta_key_is_fresh(self):
+        # Committed records measured before the shard backend was removed
+        # still carry ``shard_workers_env: null`` in their meta block.
+        legacy = dict(machine_meta(), shard_workers_env=None)
+        assert record_is_fresh(_record(_FULL, _FULL, meta=legacy),
+                               AUTOPIN_CANDIDATES)
 
     def test_absent_or_garbage_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(KERNEL_MICRO_ENV_VAR, str(tmp_path / "missing.json"))
@@ -188,8 +194,7 @@ class TestRecordedTimings:
     def test_synthetic_record_steers_compile_plan(self, tmp_path, monkeypatch):
         # End to end: pins="auto" + a synthetic record that makes `parallel`
         # the unambiguous winner everywhere.
-        timings = {"fast": 5.0, "parallel": 0.1, "shard": 7.0,
-                   "reference": 50.0}
+        timings = {"fast": 5.0, "parallel": 0.1, "reference": 50.0}
         path = tmp_path / "kernel_micro.json"
         path.write_text(json.dumps(_record(timings, timings)))
         monkeypatch.setenv(KERNEL_MICRO_ENV_VAR, str(path))
@@ -227,22 +232,33 @@ class TestCalibrationFallback:
         calibrate([(64, 32, 8)], candidates=("fast",), repeats=1)
         assert calls["n"] == first  # second call served from the cache
 
-    def test_calibration_releases_pools_it_started(self):
-        # Timing the shard candidate spawns its worker pool; when the pool
-        # was idle before calibration it must be idle after, or a losing
-        # candidate leaks processes no engine will ever close.
+    def test_calibration_releases_pools_it_started(self, monkeypatch):
+        # Timing the parallel candidate spawns its thread pool; when the
+        # pool was idle before calibration it must be idle after, or a
+        # losing candidate leaks threads no engine will ever close.
         clear_calibration_cache()
-        shard = dispatch.get_backend("shard")
-        shard.shutdown()
-        assert not shard.pool_active
-        saved = (shard.shard_workers, shard.min_rows)
-        shard.shard_workers, shard.min_rows = 2, 1
+        parallel = dispatch.get_backend("parallel")
+        parallel.shutdown()
+        assert not parallel.pool_active
+        saved = (parallel.num_workers, parallel.min_rows_per_tile)
+        parallel.num_workers, parallel.min_rows_per_tile = 2, 1
+        started = []
+        real_executor = type(parallel)._executor
+
+        def recording_executor(self):
+            pool = real_executor(self)
+            started.append(pool)
+            return pool
+
+        monkeypatch.setattr(type(parallel), "_executor", recording_executor)
         try:
-            calibrate([(512, 32, 8)], candidates=("fast", "shard"), repeats=1)
-            assert not shard.pool_active
+            calibrate([(512, 32, 8)], candidates=("fast", "parallel"),
+                      repeats=1)
+            assert started  # the measurement really started the pool
+            assert not parallel.pool_active
         finally:
-            shard.shard_workers, shard.min_rows = saved
-            shard.shutdown()
+            parallel.num_workers, parallel.min_rows_per_tile = saved
+            parallel.shutdown()
             clear_calibration_cache()
 
     def test_stale_record_falls_back_to_calibration(self, tmp_path,

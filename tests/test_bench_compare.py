@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.utils.sysinfo import machine_meta
+from repro.utils.sysinfo import machine_meta, same_machine
 
 
 def _load_compare():
@@ -53,6 +53,16 @@ class TestCompareRecord:
         hard, _, match = compare.compare_record(base, fresh, 1.0)
         assert hard == [] and not match
 
+    def test_meta_with_retired_shard_key_still_matches(self):
+        """Records whose meta still carries ``shard_workers_env: null``
+        speak for this machine, so their wall-clock keys are diffed."""
+        legacy = dict(machine_meta(), shard_workers_env=None)
+        assert same_machine(legacy, machine_meta())
+        base = _record({"kernels": {"case": {"fast": 1.0}}}, meta=legacy)
+        fresh = _record({"kernels": {"case": {"fast": 3.5}}})
+        hard, _, match = compare.compare_record(base, fresh, 1.0)
+        assert match and len(hard) == 1
+
     def test_structural_drift_is_hard_on_same_machine(self):
         base = _record({"final_accuracy": 0.931})
         fresh = _record({"final_accuracy": 0.842})
@@ -85,7 +95,7 @@ class TestCompareRecord:
         assert hard == [] and len(notes) == 1
 
     def test_missing_leaf_is_flagged(self):
-        base = _record({"kernels": {"case": {"fast": 1.0, "shard": 2.0}}})
+        base = _record({"kernels": {"case": {"fast": 1.0, "parallel": 2.0}}})
         fresh = _record({"kernels": {"case": {"fast": 1.0}}})
         hard, _, _ = compare.compare_record(base, fresh, 1.0)
         assert any("missing" in line for line in hard)
@@ -124,9 +134,9 @@ class TestObsContext:
 
     def test_counter_drift_is_reported(self):
         base = self._with_obs({"repro_plan_compiles_total": 1,
-                               "repro_shard_pool_resets_total": 0})
+                               "repro_replica_restarts_total": 0})
         fresh = self._with_obs({"repro_plan_compiles_total": 3,
-                                "repro_shard_pool_resets_total": 0})
+                                "repro_replica_restarts_total": 0})
         lines = compare._obs_context(base, fresh)
         assert lines == ["obs repro_plan_compiles_total: 1 -> 3"]
 

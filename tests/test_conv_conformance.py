@@ -1,10 +1,10 @@
 """Cross-backend conv conformance suite.
 
 The conv serving path (im2col'd INT8 GEMMs, eval-mode BatchNorm,
-process-sharded depthwise products) is only trusted because every optimized
+thread-tiled depthwise products) is only trusted because every optimized
 backend is proven bit-identical to the seed reference walk — the same gate
 DALC applies to its optimized decode path.  This suite sweeps kernel size /
-stride / padding / channels across all four backends, float and
+stride / padding / channels across all three backends, float and
 frozen-INT8, and pins down:
 
 * conv / depthwise / conv+BN / conv+BN+activation outputs equal the
@@ -33,8 +33,7 @@ from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.norm import BatchNorm2d
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
-from repro.runtime.backends import available_backends
-from repro.runtime.backends.shard import ShardBackend
+from repro.runtime.backends import ParallelBackend, available_backends
 from repro.runtime.executor import PlanExecutor
 from repro.serve import build_engine, export_artifact
 from repro.serve.engine import FrozenInt8Kernel
@@ -220,8 +219,8 @@ class TestConvConformance:
             assert not x.flags["C_CONTIGUOUS"] or x.base is not None
             _assert_conformance(units, x)
 
-    def test_sharded_conv_path_with_worker_processes(self):
-        """Real multi-worker sharding: column blocks through the rings."""
+    def test_tiled_conv_path_with_forced_worker_threads(self):
+        """Real multi-thread tiling, even on a single-core host."""
         rng = np.random.default_rng(19)
         units = _eval_units(
             [
@@ -234,11 +233,10 @@ class TestConvConformance:
         expected = PlanExecutor.for_units(
             units, backend="reference"
         ).forward(x)
-        with ShardBackend(num_workers=2, min_rows=1,
-                          min_rows_per_shard=1) as backend:
+        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
             got = PlanExecutor.for_units(units, backend=backend).forward(x)
             np.testing.assert_array_equal(
-                got, expected, err_msg="sharded conv path diverged"
+                got, expected, err_msg="tiled conv path diverged"
             )
 
 
@@ -276,7 +274,7 @@ def _trained_engine(model_name, input_shape, backend, seed=0):
     return engine, inputs
 
 
-class TestBatchNormFoldingGolden:
+class TestTrainedBatchNormGolden:
     """Trained BatchNorm statistics: every backend, and a stored digest."""
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -92,7 +92,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         a = registry.counter("repro_hits_total", backend="fast")
         b = registry.counter("repro_hits_total", backend="fast")
-        other = registry.counter("repro_hits_total", backend="shard")
+        other = registry.counter("repro_hits_total", backend="parallel")
         assert a is b
         assert a is not other
         a.inc()
@@ -150,7 +150,7 @@ class TestPrometheusExposition:
             "repro_latency_ms", buckets=(1.0, 5.0), help="Latency."
         ).observe_many([0.5, 2.0, 50.0])
         registry.counter("repro_steps_total", backend="fast").inc(4)
-        registry.counter("repro_steps_total", backend="shard").inc(1)
+        registry.counter("repro_steps_total", backend="parallel").inc(1)
         return registry
 
     def test_every_line_is_valid_exposition_text(self):
@@ -170,7 +170,7 @@ class TestPrometheusExposition:
         # both labelled series live under the single # TYPE block
         type_index = lines.index("# TYPE repro_steps_total counter")
         assert 'repro_steps_total{backend="fast"} 4' in lines[type_index:]
-        assert 'repro_steps_total{backend="shard"} 1' in lines[type_index:]
+        assert 'repro_steps_total{backend="parallel"} 1' in lines[type_index:]
 
     def test_histogram_renders_cumulative_buckets_and_count(self):
         text = self._registry().render_prometheus()
@@ -379,8 +379,7 @@ class TestServeMetricsBounded:
 # step timing + executor integration
 # ---------------------------------------------------------------------- #
 class TestStepTiming:
-    @pytest.mark.parametrize("backend", ["reference", "fast", "parallel",
-                                         "shard"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "parallel"])
     def test_timing_hook_never_changes_outputs(self, backend):
         units = _mlp_units()
         x = np.random.default_rng(1).normal(size=(6, 64)).astype(np.float32)

@@ -1,11 +1,8 @@
-"""Serve-engine plan memoization and shard weight-staging lifecycle tests.
+"""Serve-engine plan memoization tests.
 
 The engine caches compiled plans per ``(units_fingerprint, pins)`` key
 so ``apply_pins`` (and the micro-batcher re-applying config pins) stops
-recompiling; the shard backend's fingerprint staging must survive plan
-swaps so a recompile never re-copies unchanged conv weights into shared
-memory; and ``close()`` must drop every cached plan's staged segments
-without leaking.
+recompiling, and a closed engine serves again from its cached plans.
 """
 
 from __future__ import annotations
@@ -13,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.runtime.backends.shard as shard_module
 from repro.models import build_model
-from repro.runtime.backends.shard import ShardBackend
 from repro.serve import MicroBatcher, ServeConfig, build_engine, export_artifact
 
 
@@ -85,8 +80,8 @@ class TestPlanCache:
                 "gemm_large": [512, 784, 256],
             },
             "results": {"kernels": {
-                "rowwise_serve": {"fast": 1.0, "parallel": 2.0, "shard": 3.0},
-                "gemm_large": {"fast": 1.0, "parallel": 2.0, "shard": 3.0},
+                "rowwise_serve": {"fast": 1.0, "parallel": 2.0},
+                "gemm_large": {"fast": 1.0, "parallel": 2.0},
             }},
             "meta": machine_meta(),
         }
@@ -117,94 +112,14 @@ class TestPlanCache:
                 sample[None]
             )[0]
 
-
-class TestShardStagingAcrossPlanSwaps:
-    def _shard_engine(self, artifact, num_workers=2):
-        backend = ShardBackend(num_workers=num_workers, min_rows=1,
-                               min_rows_per_shard=1)
-        engine = build_engine(
-            artifact,
-            build_model("resnet18-mini", input_shape=(3, 16, 16), seed=2),
-            backend=backend,
-        )
-        return engine, backend
-
-    def test_apply_pins_does_not_restage_unchanged_weights(self, monkeypatch):
-        created = []
-        original = shard_module._SharedArray.__init__
-
-        def counting_init(self, array):
-            created.append(array.shape)
-            original(self, array)
-
-        monkeypatch.setattr(shard_module._SharedArray, "__init__",
-                            counting_init)
-        engine, backend = self._shard_engine(_conv_artifact())
-        try:
-            staged_at_build = len(created)
-            assert staged_at_build > 0  # construction staged the plan
-            # The LRU bound grew to hold the whole plan.
-            assert backend._weight_cache_entries >= len(backend._staged)
-            # Plan swaps — recompiles included — reuse the fingerprinted
-            # segments: not one new shared-memory copy.
-            engine.apply_pins({"conv": "fast"})
-            engine.apply_pins({"conv": "parallel"})
-            engine.apply_pins({"conv": "fast"})
-            engine.apply_pins(None)
-            assert len(created) == staged_at_build
-        finally:
-            engine.close()
-
-    def test_lru_bound_grows_cumulatively_across_plans(self):
-        """Two engines sharing one backend must not evict each other."""
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
-        engine_a = build_engine(
-            _conv_artifact(),
-            build_model("resnet18-mini", input_shape=(3, 16, 16), seed=3),
-            backend=backend,
-        )
-        try:
-            staged_after_a = len(backend._staged)
-            engine_b = build_engine(
-                _conv_artifact(seed=9),
-                build_model("resnet18-mini", input_shape=(3, 16, 16),
-                            seed=4),
-                backend=backend,
-            )
-            try:
-                # Both plans' weights coexist: nothing of A was evicted
-                # when B staged, and the bound covers the union.
-                assert len(backend._staged) > staged_after_a
-                assert backend._weight_cache_entries >= len(backend._staged)
-            finally:
-                engine_b.close()
-        finally:
-            engine_a.close()
-
-    def test_close_drops_cached_plans_segments(self):
-        engine, backend = self._shard_engine(_conv_artifact())
-        engine.apply_pins({"conv": "fast"})
-        assert backend._staged  # segments staged for the cached plans
-        engine.close()
-        assert not backend._staged
-        assert not backend._digest_by_token
-        assert not backend.pool_active
-        # Idempotent.
-        engine.close()
-
-    def test_closed_engine_restages_and_serves_again(self):
-        engine, backend = self._shard_engine(_conv_artifact())
+    def test_closed_engine_serves_again_from_cached_plan(self, conv_engine):
+        pinned = conv_engine.apply_pins({"conv": "parallel"}).executor
         x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(
             np.float32
         )
-        before = engine.predict(x)
-        engine.close()
-        try:
-            # The memoized plan survives close; staging and the pool come
-            # back lazily and the answers do not move.
-            engine.apply_pins(None)
-            np.testing.assert_array_equal(engine.predict(x), before)
-            assert backend._staged
-        finally:
-            engine.close()
+        before = conv_engine.predict(x)
+        conv_engine.close()
+        # The memoized plan survives close; kernel pools come back lazily
+        # and the answers do not move.
+        assert conv_engine.apply_pins({"conv": "parallel"}).executor is pinned
+        np.testing.assert_array_equal(conv_engine.predict(x), before)

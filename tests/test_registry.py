@@ -6,8 +6,7 @@ Covers the contracts the serving stack leans on:
   names, missing versions raise),
 * atomic hot-swap under concurrent prediction — zero dropped requests,
   zero mixed-version responses,
-* fingerprint dedup — identical frozen params share one engine, one set
-  of staged shard segments,
+* fingerprint dedup — identical frozen params share one engine,
 * ``close()`` releasing every cached plan's kernel backends,
 * prediction-cache namespacing — a shared cache can never serve another
   version's entries.
@@ -20,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.models import build_mlp
-from repro.obs.registry import get_registry as get_obs_registry
 from repro.serve import (
     InferenceArtifact,
     MicroBatcher,
@@ -311,14 +309,11 @@ class TestFingerprintDedup:
         assert reg.engine("m@v3") is not reg.engine("m@v1")
         assert reg.stats()["engine_builds"] == 2
 
-    def test_dedup_shares_staged_shard_segments(self):
-        """Real engines: the second version stages zero new segments."""
-        from repro.runtime.backends import ShardBackend
+    def test_dedup_shares_one_real_engine_and_close_releases_pools(self):
+        """Real engines: the second version reuses the first's engine."""
+        from repro.runtime.backends import ParallelBackend
 
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
-        staged = get_obs_registry().counter(
-            "repro_shard_staged_segments_total")
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         try:
             artifact = _export_mlp()
             reg = ModelRegistry(
@@ -327,10 +322,8 @@ class TestFingerprintDedup:
             reg.register("mlp", "v1", artifact)
             reg.register("mlp", "v2", artifact, make_default=False)
             first = reg.engine("mlp@v1")
-            assert len(backend._staged) > 0  # weights staged at build
-            staged_after_build = staged.value()
             assert reg.engine("mlp@v2") is first
-            assert staged.value() == staged_after_build  # no restaging
+            assert reg.stats()["engine_builds"] == 1
             # ...and the shared engine actually serves.
             first.predict(_inputs((1, 14, 14), 40))
             assert backend.pool_active

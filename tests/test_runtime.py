@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +152,25 @@ class TestBackendRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("no-such-backend")
+
+    def test_builtin_backends_are_exactly_three(self):
+        assert available_backends() == ["fast", "parallel", "reference"]
+
+    def test_removed_shard_backend_is_unknown(self, monkeypatch, capsys):
+        """``shard`` is gone everywhere a backend name is accepted."""
+        from repro.cli import build_parser
+
+        expected = (r"unknown backend 'shard'; "
+                    r"available: \['fast', 'parallel', 'reference'\]")
+        with pytest.raises(ValueError, match=expected):
+            get_backend("shard")
+        monkeypatch.setenv(dispatch.BACKEND_ENV_VAR, "shard")
+        with pytest.raises(ValueError, match=expected):
+            dispatch.active_backend()
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve-bench", "--backend", "shard"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
     def test_instance_passthrough(self):
         backend = FastBackend()
@@ -398,15 +420,13 @@ class TestInstrumentation:
         assert not instrument.hooks_active()
 
 
-class TestFusion:
-    """Plan execution against the ``reference`` module walk.
-
-    The class keeps its historical name; every check here compares the
-    compiled plan on an optimized backend with the seed arithmetic.
-    """
+class TestPlanMatchesReference:
+    """Plan execution against the ``reference`` module walk: every check
+    here compares the compiled plan on an optimized backend with the seed
+    arithmetic."""
 
     @pytest.mark.parametrize("backend", ["fast", "parallel"])
-    def test_fused_matches_unfused_all_activations(self, backend):
+    def test_plan_matches_reference_all_activations(self, backend):
         from repro.nn.activations import (
             LeakyReLU, ReLU, ReLU6, Sigmoid, SiLU, Tanh,
         )
@@ -427,7 +447,7 @@ class TestFusion:
                 err_msg=f"{act_type.__name__} diverged on {backend}",
             )
 
-    def test_fused_matches_unfused_on_nonfinite_inputs(self):
+    def test_plan_matches_reference_on_nonfinite_inputs(self):
         """NaN/inf/-0.0 rows leave optimized and reference plans equal."""
         _, units = _mlp_units(seed=3)
         for unit in units:
@@ -458,7 +478,7 @@ class TestFusion:
         ]
         assert cached, "plan execution starved the training caches"
 
-    def test_seed_fingerprint_reference_with_fusion(self):
+    def test_seed_fingerprint_reference(self):
         """Seeded INT8 predictions on ``reference`` are pinned labels.
 
         Guards the whole lowering pipeline: if any plan rewrite perturbed
@@ -707,3 +727,68 @@ class TestParallelBackend:
             np.asarray(backend.int8_gemm(lhs, rhs), dtype=np.int64),
             np.asarray(FastBackend().int8_gemm(lhs, rhs), dtype=np.int64),
         )
+
+
+def _int8(rng, shape):
+    return rng.integers(-128, 128, size=shape).astype(np.int8)
+
+
+class TestParallelPoolLifecycle:
+    def test_shutdown_is_idempotent_and_restartable(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        first = np.asarray(backend.int8_gemm(lhs, rhs))
+        assert backend._pool is not None
+        backend.shutdown()
+        backend.shutdown()
+        assert backend._pool is None
+        np.testing.assert_array_equal(
+            np.asarray(backend.int8_gemm(lhs, rhs)), first
+        )
+        assert backend._pool is not None
+        backend.shutdown()
+
+    def test_context_manager_shuts_down(self):
+        rng = np.random.default_rng(0)
+        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
+            backend.int8_gemm(_int8(rng, (64, 16)), _int8(rng, (16, 4)))
+            assert backend._pool is not None
+        assert backend._pool is None
+
+    def test_foreign_pool_is_discarded_not_joined(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        inherited = backend._pool
+        backend._pool_pid = backend._pool_pid - 1  # pretend we forked
+        got = np.asarray(backend.int8_gemm(lhs, rhs))
+        np.testing.assert_array_equal(got, want)
+        assert backend._pool is not inherited
+        inherited.shutdown(wait=True)
+        backend.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-only test")
+    def test_real_fork_child_does_not_hang_on_inherited_pool(self):
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
+        rng = np.random.default_rng(0)
+        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
+        want = np.asarray(backend.int8_gemm(lhs, rhs))
+        assert backend._pool is not None  # the child will inherit this
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(30)
+                got = np.asarray(backend.int8_gemm(lhs, rhs))
+                if np.array_equal(got, want):
+                    status = 0
+                backend.shutdown()
+            except BaseException:
+                pass
+            finally:
+                os._exit(status)
+        _, exit_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(exit_status) == 0
+        backend.shutdown()

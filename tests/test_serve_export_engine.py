@@ -358,17 +358,14 @@ class TestTrainedRoundTrip:
 
 class TestEnginePoolLifecycle:
     def test_close_shuts_down_plan_backends(self):
-        from repro.runtime.backends import ShardBackend
+        from repro.runtime.backends import ParallelBackend
 
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         try:
             artifact = _export(_mlp_h2, "sum_squares")
             engine = build_engine(
                 artifact, _mlp_h2(seed=0), backend=backend
             )
-            # Frozen weights were staged into shared segments at build time.
-            assert len(backend._staged) > 0
             engine.predict(_inputs((1, 14, 14), 40))
             assert backend.pool_active
             engine.close()
@@ -378,10 +375,9 @@ class TestEnginePoolLifecycle:
             backend.shutdown()
 
     def test_context_manager_closes(self):
-        from repro.runtime.backends import ShardBackend
+        from repro.runtime.backends import ParallelBackend
 
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
+        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
         try:
             artifact = _export(_mlp_h2, "sum_squares")
             with build_engine(
@@ -390,25 +386,6 @@ class TestEnginePoolLifecycle:
                 engine.predict(_inputs((1, 14, 14), 40))
                 assert backend.pool_active
             assert not backend.pool_active
-        finally:
-            backend.shutdown()
-
-    def test_sharded_engine_matches_reference(self):
-        from repro.runtime.backends import ShardBackend
-
-        backend = ShardBackend(num_workers=2, min_rows=1,
-                               min_rows_per_shard=1)
-        try:
-            artifact = _export(_mlp_h2, "sum_squares")
-            inputs = _inputs((1, 14, 14), 48)
-            with build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
-            ) as engine:
-                sharded = engine.predict(inputs)
-            reference = build_engine(
-                artifact, _mlp_h2(seed=1), backend="reference"
-            ).predict(inputs)
-            np.testing.assert_array_equal(sharded, reference)
         finally:
             backend.shutdown()
 
