@@ -2,14 +2,14 @@
 
 Every benchmark regenerates one table or figure of the paper: it prints a
 paper-style table (bypassing pytest's output capture so the rows are always
-visible in the terminal) and saves a JSON artifact under
-``benchmarks/results/`` for EXPERIMENTS.md.
+visible in the terminal) and saves a JSON record under ``RESULTS_DIR``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.analysis import ExperimentResult
@@ -17,12 +17,14 @@ from repro.obs import get_registry
 from repro.utils.serialization import save_json
 from repro.utils.sysinfo import machine_meta
 
-#: Where benchmark records are written.  ``REPRO_BENCH_RESULTS_DIR`` points
-#: fresh runs somewhere else so ``benchmarks/compare.py`` can diff them
-#: against the committed baselines without overwriting them.
+#: Where benchmark records are written: a directory under the system's
+#: temporary directory, so test runs leave the committed baselines in
+#: ``benchmarks/results/`` alone and ``benchmarks/compare.py`` can diff a
+#: fresh run against them.  ``REPRO_BENCH_RESULTS_DIR=benchmarks/results``
+#: regenerates the baselines.
 RESULTS_DIR = Path(
     os.environ.get("REPRO_BENCH_RESULTS_DIR")
-    or Path(__file__).resolve().parent / "results"
+    or Path(tempfile.gettempdir()) / "repro-bench-results"
 )
 
 
@@ -52,7 +54,7 @@ def emit(text: str) -> None:
 
 
 def save_experiment(result: ExperimentResult) -> Path:
-    """Persist a benchmark's experiment record under benchmarks/results/.
+    """Persist a benchmark's experiment record under ``RESULTS_DIR``.
 
     Every record carries a ``meta`` block (CPU count, NumPy/BLAS build,
     active kernel backend) so wall-clock numbers measured on different

@@ -10,7 +10,7 @@ lives in ``pyproject.toml``.
 from setuptools import find_packages, setup
 
 # Kept in lockstep with ``repro.__version__`` (asserted by the test suite).
-VERSION = "1.8.0"
+VERSION = "1.9.0"
 
 setup(
     name="ff-int8-repro",

@@ -14,12 +14,13 @@ from typing import Optional
 import numpy as np
 
 from repro.quant.qconfig import QuantConfig
-from repro.quant.rounding import apply_rounding
+from repro.quant.rounding import round_nearest, round_stochastic
 from repro.utils.rng import RngLike
 
-#: Elements per chunk of :func:`quantize`: the float64 temporaries of one
-#: chunk (128 KiB each) stay in cache, and the Python loop runs once per
-#: 16 K elements.
+#: Elements per chunk of :func:`quantize`: the float32 buffers of one chunk
+#: (64 KiB each) stay in cache, and the Python loop runs once per 16 K
+#: elements.  A multiple of four, so every chunk but the last takes whole
+#: 64-bit words of stochastic-rounding draws.
 CHUNK = 16384
 
 
@@ -88,15 +89,18 @@ def quantize(
     (``x ≈ q * scale``).
 
     ``values`` is streamed in C order of its logical index, ``CHUNK``
-    elements at a time, whatever its memory layout.  Each chunk is divided
-    by its scale in float64, rounded by :func:`apply_rounding`, clipped and
-    written into the preallocated integer output, so the levels equal those
-    of rounding the whole tensor at once.  Stochastic rounding draws one
-    ``rng.random`` double per element in that order (``values.size`` in
-    all) and leaves the generator where a single whole-tensor draw would;
-    nearest rounding draws none.  ``rng`` is a generator or seed; ``None``
-    means ``config.rng()``.  Besides ``q``, memory use is O(``CHUNK``) for
-    any tensor size and any scale shape (per-tensor or per-channel).
+    elements at a time, whatever its memory layout, and each chunk of
+    levels is clipped into the preallocated integer output, so the levels
+    equal those of rounding the whole tensor at once.  Stochastic rounding
+    multiplies each chunk by the float32 reciprocal of its scale into a
+    preallocated float32 buffer and rounds it with
+    :func:`~repro.quant.rounding.round_stochastic`, which takes 16 random
+    bits per element from the generator; since ``CHUNK`` is a multiple of
+    four, the chunks leave the generator where a single whole-tensor call
+    would.  Nearest rounding divides by the scale in float64 and draws
+    nothing.  ``rng`` is a generator or seed; ``None`` means
+    ``config.rng()``.  Besides ``q``, memory use is O(``CHUNK``) for any
+    tensor size and any scale shape (per-tensor or per-channel).
     """
     values = np.asarray(values, dtype=np.float32)
     if scale is None:
@@ -119,23 +123,33 @@ def quantize(
     else:
         dtype = np.int32
     q = np.empty(values.shape, dtype=dtype)
-    # Casting every operand to float64 makes nditer buffer all three, so each
-    # chunk holds up to CHUNK elements in C order even for strided input or
-    # a broadcast scale (unbuffered, chunks would shrink to the inner axis);
-    # each chunk of levels is cast into ``q`` when it is written back.
-    with np.nditer(
-        [values, scale_b, q],
-        flags=["external_loop", "buffered", "zerosize_ok"],
-        op_flags=[["readonly"], ["readonly"], ["writeonly"]],
-        op_dtypes=[np.float64] * 3,
-        casting="unsafe",
-        order="C",
-        buffersize=CHUNK,
-    ) as chunks:
-        for chunk, chunk_scale, levels in chunks:
-            rounded = apply_rounding(chunk / chunk_scale, config.rounding, rng=rng)
-            np.clip(rounded, config.qmin, config.qmax, out=levels)
+    stochastic = config.rounding == "stochastic"
+    factor = np.asarray(1.0 / scale_b, dtype=np.float32) if stochastic else scale_b
+    # A per-tensor scale stays a scalar operand; per-channel scales are
+    # gathered per chunk from a broadcast view.
+    factors = None if factor.ndim == 0 else _c_order(
+        np.broadcast_to(factor, values.shape))
+    flat_values, flat_q = _c_order(values), q.reshape(-1)
+    levels = np.empty(min(CHUNK, values.size), dtype=np.float32)
+    rounded = np.empty_like(levels)
+    for start in range(0, values.size, CHUNK):
+        stop = min(start + CHUNK, values.size)
+        chunk = flat_values[start:stop]
+        chunk_factor = factor if factors is None else factors[start:stop]
+        if stochastic:
+            chunk_levels = np.multiply(chunk, chunk_factor, out=levels[: stop - start])
+            result = round_stochastic(chunk_levels, rng, out=rounded[: stop - start])
+        else:
+            result = round_nearest(np.divide(chunk, chunk_factor, dtype=np.float64))
+        np.clip(result, config.qmin, config.qmax, out=flat_q[start:stop],
+                casting="unsafe")
     return q, scale
+
+
+def _c_order(array: np.ndarray):
+    """Sliceable C-order 1-D form of ``array``: a view when it is
+    C-contiguous, else its flat iterator (a slice copies just that span)."""
+    return array.reshape(-1) if array.flags.c_contiguous else array.flat
 
 
 def dequantize(

@@ -20,7 +20,7 @@ from repro.core.losses import (
 from repro.data.overlay import LabelOverlay
 from repro.nn.functional import col2im, im2col, l2_normalize, softmax
 from repro.quant.qconfig import QuantConfig
-from repro.quant.rounding import apply_rounding, round_nearest, round_stochastic
+from repro.quant.rounding import round_nearest, round_stochastic
 from repro.quant.suq import CHUNK, dequantize, quantize
 
 finite_floats = st.floats(
@@ -109,13 +109,24 @@ def reference_scale(values, config, axis):
 
 
 def reference_quantize(values, config, scale, axis, rng):
-    """Unchunked SUQ: round the whole tensor at once, then clip and cast."""
+    """Unchunked SUQ: round the whole tensor at once, then clip and cast.
+
+    Nearest rounding divides by the scale in float64.  Stochastic rounding
+    scales by the float32 reciprocal and floors after adding one 16-bit
+    threshold per element, taken in C order from ``ceil(size / 4)`` raw
+    64-bit words drawn in a single call."""
     scale_b = scale
     if axis is not None:
         shape = [1] * values.ndim
         shape[axis] = -1
         scale_b = np.reshape(scale, shape)
-    rounded = apply_rounding(values / scale_b, config.rounding, rng=rng)
+    if config.rounding == "nearest":
+        rounded = round_nearest(values / scale_b)
+    else:
+        levels = values * np.asarray(1.0 / scale_b, dtype=np.float32)
+        words = rng.bit_generator.random_raw(-(-values.size // 4))
+        thresholds = words.view(np.uint16)[:values.size].astype(np.float32)
+        rounded = np.floor(levels + thresholds.reshape(values.shape) / 65536)
     dtype = {4: np.int8, 8: np.int8, 16: np.int16}[config.bits]
     return np.clip(rounded, config.qmin, config.qmax).astype(dtype)
 
@@ -167,7 +178,7 @@ class TestStreamingQuantizerProperties:
             got_scale, expected_scale * 1.5 if explicit else expected_scale)
         assert q.dtype == expected.dtype and q.shape == values.shape
         np.testing.assert_array_equal(q, expected)
-        assert rng.random() == reference_rng.random()
+        assert rng.bit_generator.random_raw() == reference_rng.bit_generator.random_raw()
 
 
 class TestFFLossProperties:

@@ -168,7 +168,55 @@ class TestStreamingQuantize:
         config = FFInt8Config(epochs=3, batch_size=32, evaluate_every=10 ** 6, seed=3)
         history = FFInt8Trainer(config).fit(bundle, train_set)
         assert history.records[-1].lambda_value > 0.0
-        assert history.train_losses[-1] == 210.64769363721643
+        assert history.train_losses[-1] == 210.72480939109786
+
+
+class TestStochasticRoundingStatistics:
+    """Moments of SUQ's stochastic rounding over many draws of one tensor.
+
+    With scale 1 the levels are the values themselves.  Exact stochastic
+    rounding has zero mean error and per-element variance
+    ``frac * (1 - frac)``; 16-bit thresholds stay within 2**-16 of that
+    mean, while 8-bit thresholds would be ~2e-3 levels low on average."""
+
+    DRAWS = 2000
+
+    @pytest.fixture(scope="class")
+    def moments(self):
+        values = np.random.default_rng(11).uniform(-120.0, 120.0, 4096).astype(np.float32)
+        config, rng = QuantConfig(), np.random.default_rng(12)
+        total = np.zeros(values.size)
+        squares = np.zeros(values.size)
+        largest = 0.0
+        for _ in range(self.DRAWS):
+            q, _ = quantize(values, config, scale=1.0, rng=rng)
+            error = q - values.astype(np.float64)
+            total += error
+            squares += error * error
+            largest = max(largest, float(np.abs(error).max()))
+        mean = total / self.DRAWS
+        variance = squares / self.DRAWS - mean * mean
+        return values.astype(np.float64), mean, variance, largest
+
+    def test_mean_bias_below_1e_minus_3_levels(self, moments):
+        _, mean, _, _ = moments
+        assert abs(mean.mean()) <= 1e-3
+
+    def test_variance_matches_exact_stochastic_rounding(self, moments):
+        values, _, variance, _ = moments
+        fraction = values - np.floor(values)
+        exact = np.mean(fraction * (1.0 - fraction))
+        assert abs(variance.mean() / exact - 1.0) <= 0.02
+
+    def test_every_draw_within_one_level(self, moments):
+        _, _, _, largest = moments
+        assert largest < 1.0
+
+    def test_exact_levels_unchanged(self):
+        levels = np.arange(-127, 128, dtype=np.float32)
+        # A power-of-two scale makes every level exact in float32.
+        q, _ = quantize(levels / 4, QuantConfig(), scale=0.25, rng=np.random.default_rng(13))
+        np.testing.assert_array_equal(q, levels)
 
 
 class TestQuantizedTensor:

@@ -292,45 +292,55 @@ class TestFrozenKernel:
         assert engine.counts.int8_mul == engine.counts.int8_add
 
 
+def _train_checkpoint(directory, seed):
+    """FF-INT8 fit of a two-layer MLP; returns (checkpoint path, test set)."""
+    from repro.data import synthetic_mnist
+
+    train, test = synthetic_mnist(num_train=192, num_test=64, seed=7,
+                                  image_size=14)
+    bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
+                       hidden_units=48, seed=0)
+    config = FFInt8Config(epochs=10, batch_size=64, lr=0.02,
+                          overlay_amplitude=2.0, evaluate_every=10,
+                          eval_max_samples=64, train_eval_max_samples=32,
+                          seed=seed)
+    history = FFInt8Trainer(config).fit(bundle, train, test)
+    units = history.metadata["units"]
+    return save_ff_checkpoint(units, bundle, config, directory / "run"), test
+
+
 class TestTrainedRoundTrip:
     """checkpoint -> export -> engine agrees with the restored classifier."""
 
+    #: Training seeds whose mean agreement is asserted: one seed pins a
+    #: single draw of the stochastic-rounding stream, not the quantizer.
+    AGREEMENT_SEEDS = (0, 1, 2, 3, 4)
+
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):
-        from repro.data import synthetic_mnist
-
-        train, test = synthetic_mnist(num_train=192, num_test=64, seed=7,
-                                      image_size=14)
-        bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
-                           hidden_units=48, seed=0)
-        config = FFInt8Config(epochs=10, batch_size=64, lr=0.02,
-                              overlay_amplitude=2.0, evaluate_every=10,
-                              eval_max_samples=64, train_eval_max_samples=32,
-                              seed=0)
-        history = FFInt8Trainer(config).fit(bundle, train, test)
-        units = history.metadata["units"]
-        path = save_ff_checkpoint(
-            units, bundle, config, tmp_path_factory.mktemp("ckpt") / "run"
-        )
-        return path, test
+        return _train_checkpoint(tmp_path_factory.mktemp("ckpt"), seed=0)
 
     def _fresh_bundle(self, seed):
         return build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
                          hidden_units=48, seed=seed)
 
-    def test_engine_agrees_with_fp32_classifier(self, trained):
-        path, test = trained
-        checkpoint = load_ff_checkpoint(path)
-        fp32 = restore_classifier(checkpoint, self._fresh_bundle(11))
-        artifact = export_from_checkpoint(checkpoint, self._fresh_bundle(12))
-        engine = build_engine(artifact, self._fresh_bundle(13))
+    def test_engine_agrees_with_fp32_classifier(self, trained, tmp_path_factory):
+        agreements = []
+        for seed in self.AGREEMENT_SEEDS:
+            path, test = trained if seed == 0 else _train_checkpoint(
+                tmp_path_factory.mktemp("ckpt"), seed)
+            checkpoint = load_ff_checkpoint(path)
+            fp32 = restore_classifier(checkpoint, self._fresh_bundle(11))
+            artifact = export_from_checkpoint(checkpoint, self._fresh_bundle(12))
+            engine = build_engine(artifact, self._fresh_bundle(13))
 
-        inputs = test.images[:64]
-        reference = fp32.predict(inputs)
-        quantized = engine.predict(inputs)
-        agreement = float(np.mean(reference == quantized))
+            inputs = test.images[:64]
+            agreements.append(
+                float(np.mean(fp32.predict(inputs) == engine.predict(inputs))))
+        agreement = float(np.mean(agreements))
         assert agreement >= 0.9, (
-            f"INT8 serving flipped {100 * (1 - agreement):.1f}% of predictions"
+            f"INT8 serving flipped {100 * (1 - agreement):.1f}% of predictions "
+            f"on average (per seed: {agreements})"
         )
 
     def test_engine_is_bit_identical_to_frozen_per_sample(self, trained):
