@@ -83,9 +83,8 @@ def _obs_context(baseline: dict, fresh: dict) -> List[str]:
     """Behavioural-counter diffs between two records' ``meta.obs`` blocks.
 
     When a wall-clock key drifts, the first question is whether the two
-    runs did the same *work*: a record that recompiled plans, re-ran
-    autopin calibration, or restarted replicas is slower for a reason the
-    telemetry names outright.  Only counters are compared — gauges and
+    runs did the same *work*: a record that shed requests or restarted
+    replicas is slower for a reason the telemetry names outright.  Only counters are compared — gauges and
     histograms are point-in-time and load-shaped, so their drift is
     expected.
     """

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks._common import mark_obs_baseline
 from repro.data import synthetic_cifar10, synthetic_mnist
+
+
+@pytest.fixture(autouse=True)
+def _obs_window():
+    """Record each benchmark's own telemetry, not the process's history."""
+    mark_obs_baseline()
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,7 @@ def main() -> None:
 
     enable_tracing(sample=1.0)
     try:
-        with engine, MicroBatcher(engine, serve_config) as batcher:
+        with MicroBatcher(engine, serve_config) as batcher:
             batcher.predict_many(list(stream))
     finally:
         disable_tracing()

@@ -58,7 +58,6 @@ from repro.serve import (
     save_artifact,
 )
 from repro.runtime import available_backends, use_backend
-from repro.runtime.plan import validate_pins
 from repro.training import ALL_ALGORITHMS, make_trainer
 from repro.utils.serialization import save_json
 from repro.utils.sysinfo import machine_meta
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
 
     # Options every subcommand shares, so a whole benchmark pipeline
-    # (train -> export -> serve-bench) is reproducible and backend-pinned
+    # (train -> export -> serve-bench) is reproducible on one backend
     # with the same two flags on each invocation.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -83,18 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", default=None,
                         choices=available_backends(),
                         help="runtime kernel backend (default: REPRO_BACKEND "
-                             "env var, else 'fast'; all are bit-identical)")
-    common.add_argument("--pin", action="append", default=None,
-                        metavar="LAYER=BACKEND",
-                        help="pin one layer of the compiled plan to a "
-                             "backend; LAYER is '<kind>', 'unit<N>' or "
-                             "'unit<N>.<kind>' (e.g. --pin gemm=parallel "
-                             "--pin unit0=fast; repeatable; a pin outranks "
-                             "--backend for that layer).  '--pin auto' "
-                             "instead resolves every layer to its measured "
-                             "winner (recorded kernel_micro timings when "
-                             "fresh for this CPU, else a ~100ms in-process "
-                             "calibration)")
+                             "env var, else 'fast'; both are bit-identical)")
 
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -276,33 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pins(args):
-    """``--pin`` occurrences as a validated pin mapping (or ``"auto"``)."""
-    raw = getattr(args, "pin", None)
-    if not raw:
-        return None
-    if "auto" in raw:
-        if len(raw) > 1:
-            raise SystemExit(
-                "error: --pin auto resolves every layer and cannot be "
-                "combined with explicit LAYER=BACKEND pins"
-            )
-        return "auto"
-    pins = {}
-    for item in raw:
-        layer, sep, backend = item.partition("=")
-        if not sep or not layer or not backend:
-            raise SystemExit(
-                f"error: --pin expects LAYER=BACKEND (or a single "
-                f"'--pin auto'), got {item!r}"
-            )
-        pins[layer] = backend
-    try:
-        return validate_pins(pins)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-
-
 def _load_dataset(args):
     image_size = args.image_size
     if args.dataset == "mnist":
@@ -342,13 +303,6 @@ def _cmd_train(args) -> int:
               "seed": args.seed}
     if args.lr is not None:
         kwargs["lr"] = args.lr
-    pins = _parse_pins(args)
-    if pins:
-        if args.algorithm.upper().startswith("FF"):
-            kwargs["pins"] = pins
-        else:
-            print(f"--pin ignored: {args.algorithm} does not execute "
-                  "compiled plans")
     trainer = make_trainer(args.algorithm, **kwargs)
     history = trainer.fit(bundle, train_set, test_set)
 
@@ -417,7 +371,7 @@ def _train_and_freeze(args):
     config = FFInt8Config(
         epochs=args.epochs, batch_size=64, overlay_amplitude=2.0,
         evaluate_every=max(args.epochs, 1), eval_max_samples=args.test_samples,
-        seed=args.seed, pins=_parse_pins(args),
+        seed=args.seed,
     )
     print(f"training {bundle.name} with FF-INT8 for {args.epochs} epochs "
           "before freezing...")
@@ -480,46 +434,22 @@ def _cmd_serve_bench(args) -> int:
         args.model, model_version = parse_model_ref(args.model)
     except ValueError as error:
         raise SystemExit(f"error: {error}")
-    pins = _parse_pins(args)  # validate before paying for any training
     if args.artifact:
         artifact = load_artifact(args.artifact)
         _, test_set = _load_dataset(args)
     else:
         artifact, test_set = _train_and_freeze(args)
     if args.server:
-        return _serve_bench_server(args, artifact, pins,
-                                   model_version or "v1")
-    # Resolve pins once, at this deployment's coalesced batch height (the
-    # micro-batcher re-applies the same pins at the same height, which is a
-    # plan-cache hit on the memoized executor), so the report below matches
-    # what serves.
+        return _serve_bench_server(args, artifact, model_version or "v1")
     engine = build_engine(artifact, backend=args.backend)
-    # One cleanup path for every exit — normal, error, or Ctrl-C anywhere
-    # from here on (including the single-sample baseline): the engine owns
-    # the kernel-pool lifecycle and ``close()`` is idempotent, so the
-    # KeyboardInterrupt branch, this ``finally`` and the interpreter-exit
-    # hook can all fire without double-teardown.
     try:
-        return _serve_bench_local(args, artifact, engine, test_set, pins)
+        return _serve_bench_local(args, artifact, engine, test_set)
     except KeyboardInterrupt:
-        print("\nserve-bench interrupted — shutting kernel pools down")
+        print("\nserve-bench interrupted")
         return 130
-    finally:
-        engine.close()
 
 
-def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
-    if pins:
-        engine.apply_pins(pins, batch_size=args.max_batch_size)
-    if pins == "auto":
-        resolved = [
-            step.describe() for step in engine.executor.plan.steps
-            if step.backend is not None
-        ]
-        print("auto-pinned plan (measured winners):")
-        for line in resolved:
-            print(f"  {line}")
-
+def _serve_bench_local(args, artifact, engine, test_set) -> int:
     images = test_set.images
     indices = np.arange(args.requests) % len(images)
     stream = images[indices]
@@ -542,12 +472,9 @@ def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        pins=pins, autoscale_wait=args.autoscale_wait,
-        min_wait_ms=args.min_wait_ms,
+        autoscale_wait=args.autoscale_wait, min_wait_ms=args.min_wait_ms,
     )
     batcher = MicroBatcher(engine, config)
-    # The caller's try/finally closes the engine; this block only manages
-    # the batcher's worker threads.
     with batcher:
         if args.trace > 0:
             # Trace only the batched phase so the single-sample baseline
@@ -588,10 +515,6 @@ def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
           f"(mean batch size {snap['mean_batch_size']:.1f}, "
           f"{int(snap['batches'])} batches, "
           f"cache hit rate {cache_stats['hit_rate']:.1%})")
-    plan_stats = engine.plan_cache_stats()
-    print(f"plan cache: {plan_stats['compiles']} compile(s), "
-          f"{plan_stats['hits']} hit(s), "
-          f"{plan_stats['entries']} cached plan(s)")
     if args.autoscale_wait:
         print(f"adaptive max_wait settled at {batcher.current_wait_ms:.2f} ms "
               f"(bounds [{args.min_wait_ms:.2f}, {args.max_wait_ms:.2f}] ms, "
@@ -612,7 +535,6 @@ def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
             "single": {"throughput_rps": single_throughput, **single_stats},
             "batched": {"throughput_rps": batched_throughput, **snap},
             "cache": cache_stats,
-            "plan_cache": plan_stats,
             "speedup": speedup,
             "obs": get_registry().snapshot(),
         }, args.output)
@@ -620,7 +542,7 @@ def _serve_bench_local(args, artifact, engine, test_set, pins) -> int:
     return 0
 
 
-def _serve_bench_server(args, artifact, pins, model_version) -> int:
+def _serve_bench_server(args, artifact, model_version) -> int:
     """Serve the artifact over the wire behind the supervised front-end.
 
     The artifact is filed in a :class:`ModelRegistry` under
@@ -629,10 +551,7 @@ def _serve_bench_server(args, artifact, pins, model_version) -> int:
     hot-swap and canary against the live server.
     """
     def builder(frozen):
-        engine = build_engine(frozen, backend=args.backend)
-        if pins:
-            engine.apply_pins(pins, batch_size=args.max_batch_size)
-        return engine
+        return build_engine(frozen, backend=args.backend)
 
     # Register under the CLI-facing name (what the operator will address
     # in ``repro registry`` / ``--model-ref``), not the internal
@@ -649,15 +568,14 @@ def _serve_bench_server(args, artifact, pins, model_version) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        pins=pins, autoscale_wait=args.autoscale_wait,
-        min_wait_ms=args.min_wait_ms,
+        autoscale_wait=args.autoscale_wait, min_wait_ms=args.min_wait_ms,
         default_deadline_ms=args.deadline_ms,
         max_queue_depth=args.max_queue_depth,
     )
     frontend = ServeFrontend(registry=registry, config=config)
     # Same single-cleanup-path contract as the in-process bench: Ctrl-C at
     # any point lands in the ``finally`` and drains gracefully (intake
-    # stops, in-flight requests finish, engines and kernel pools close).
+    # stops, in-flight requests finish, engines close).
     try:
         frontend.start()
         versions = [v for m in registry.describe() for v in m["versions"]]
@@ -849,7 +767,7 @@ def _cmd_obs_snapshot(args) -> int:
     clear_buffer()
     enable_tracing(sample=1.0)
     try:
-        with engine, MicroBatcher(engine, config) as batcher:
+        with MicroBatcher(engine, config) as batcher:
             batcher.predict_many(list(stream))
     finally:
         disable_tracing()

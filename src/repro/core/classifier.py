@@ -42,8 +42,6 @@ class FFGoodnessClassifier:
         flatten_input: bool = False,
         skip_first_layer: Optional[bool] = None,
         backend: BackendLike = None,
-        pins: Optional[dict] = None,
-        auto_rows: Optional[int] = None,
     ) -> None:
         if not units:
             raise ValueError("classifier needs at least one trained unit")
@@ -55,8 +53,7 @@ class FFGoodnessClassifier:
             skip_first_layer = len(self.units) >= 2
         self.skip_first_layer = skip_first_layer
         self.executor = PlanExecutor.for_units(
-            self.units, flatten_input=flatten_input, backend=backend, pins=pins,
-            auto_rows=auto_rows,
+            self.units, flatten_input=flatten_input, backend=backend
         )
 
     # ------------------------------------------------------------------ #

@@ -72,17 +72,10 @@ class FFConfig:
     train_eval_max_samples: Optional[int] = 128
     seed: int = 0
     backend: Optional[str] = None
-    pins: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             dispatch.get_backend(self.backend)  # fail fast on typos
-        if self.pins:
-            # A spec mapping, or "auto" to resolve each layer's backend
-            # from measured timings at plan-compile time.
-            from repro.runtime.plan import validate_pins
-
-            validate_pins(self.pins)
         if self.train_schedule not in ("simultaneous", "greedy"):
             raise ValueError(
                 "train_schedule must be 'simultaneous' or 'greedy', "
@@ -142,17 +135,11 @@ class ForwardForwardTrainer:
         )
         classifier = FFGoodnessClassifier(
             units, overlay, goodness=goodness, flatten_input=bundle.flatten_input,
-            backend=config.backend, pins=config.pins,
-            auto_rows=config.batch_size,
+            backend=config.backend,
         )
         # One compiled plan drives every training forward pass; the backward
         # sweep still walks the unit modules, whose caches the plan filled.
-        # Auto pins resolve at the training batch height, not the serving
-        # default.
-        executor = PlanExecutor.for_units(
-            units, backend=config.backend, pins=config.pins,
-            auto_rows=config.batch_size,
-        )
+        executor = PlanExecutor.for_units(units, backend=config.backend)
         optimizers = self._build_optimizers(units)
 
         history = TrainingHistory(

@@ -8,9 +8,8 @@ Two halves, one import surface:
   backend attribution) into a bounded ring buffer.  Off by default;
   ``REPRO_TRACE_SAMPLE`` or :func:`enable_tracing` turn it on.
 * :mod:`repro.obs.registry` — a process-wide metrics registry (counters,
-  gauges, fixed-bucket histograms) that the serve stack, plan cache and
-  autopin publish into, exportable as a JSON snapshot or Prometheus text
-  exposition.
+  gauges, fixed-bucket histograms) that the serve stack publishes into,
+  exportable as a JSON snapshot or Prometheus text exposition.
 
 Both are stdlib+NumPy only and import nothing from the rest of ``repro``,
 so any module — including low-level backends — may depend on them without

@@ -4,7 +4,7 @@ Every control loop the serving stack grows — queue-depth shedding, canary
 rollback, replica restarts — needs *live, scrapeable* signals, not
 post-hoc report tables.  The registry is that signal plane: named metrics
 that :class:`~repro.serve.metrics.ServeMetrics`, the micro-batcher's
-autoscalers, the engine's plan cache and ``autopin`` all publish into,
+autoscalers and the replica supervisor all publish into,
 readable two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, attached to
@@ -17,7 +17,7 @@ readable two ways:
 Design constraints, in order: **hot-path cheapness** (a counter increment is
 one lock + one add; histograms take whole batches per lock acquisition via
 :meth:`Histogram.observe_many` and keep fixed buckets — no per-sample
-storage, ever), **thread safety** (serve workers, kernel pool threads
+storage, ever), **thread safety** (serve workers, supervisor threads
 and client threads all publish concurrently), and **zero dependencies**
 (stdlib + NumPy only, so any module in the repo may import it without cycles).
 

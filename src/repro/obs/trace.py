@@ -344,7 +344,7 @@ def format_trace(trace: Trace) -> str:
         └─ engine.predict  2.951 ms
            ├─ unit0.gemm  1.021 ms  [backend=fast cols=784 rows=8]
            ├─ unit0.activation  0.183 ms  [backend=fast cols=64 rows=8]
-           └─ unit1.gemm  0.933 ms  [backend=parallel cols=64 rows=8]
+           └─ unit1.gemm  0.933 ms  [backend=fast cols=64 rows=8]
     """
     spans = sorted(trace.spans(), key=lambda entry: entry.start_s)
     children: Dict[int, List[Span]] = {}

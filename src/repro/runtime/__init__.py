@@ -3,20 +3,15 @@
 One execution layer for every workload:
 
 * :func:`compile_plan` lowers an FF unit stack into a flat
-  :class:`ExecutionPlan` of kernel steps, optionally pinning individual
-  layers to a backend;
-  :class:`PlanExecutor` runs it — training forward passes, goodness
+  :class:`ExecutionPlan` of kernel steps; :class:`PlanExecutor` runs it — training forward passes, goodness
   classification, readout features and batched serving all execute the
   same plan code.
 * :mod:`repro.runtime.backends` hosts the kernel backends: ``reference``
-  (the seed NumPy arithmetic), ``fast`` (exact-float32 BLAS integer GEMMs
-  with preallocated scratch) and ``parallel`` (row-block thread tiling of
-  the fast kernels plus float32/numba depthwise products).  Select with
-  the ``REPRO_BACKEND`` environment variable, :func:`set_default_backend`,
-  a config's ``backend`` field, the CLI ``--backend`` flag, or per layer
-  with plan pins — hand-written specs or ``pins="auto"``, which resolves
-  each layer to the measured winner via :mod:`repro.runtime.autopin`;
-  every backend is bit-identical.
+  (the seed NumPy arithmetic, the correctness oracle) and ``fast``
+  (exact-float32 BLAS integer GEMMs and depthwise einsums with
+  preallocated scratch).  Select with the ``REPRO_BACKEND`` environment
+  variable, :func:`set_default_backend`, a config's ``backend`` field or
+  the CLI ``--backend`` flag; both backends are bit-identical.
 * :mod:`repro.runtime.instrument` exposes the dispatch layer's
   instrumentation hooks — :class:`OpCounts`/:class:`OpCountingHook` for
   Table IV op accounting and arbitrary observers for profiling — which see
@@ -33,7 +28,6 @@ from repro.runtime import instrument
 from repro.runtime.backends import (
     Backend,
     FastBackend,
-    ParallelBackend,
     ReferenceBackend,
     available_backends,
     get_backend,
@@ -44,7 +38,6 @@ from repro.runtime.dispatch import (
     DEFAULT_BACKEND,
     active_backend,
     default_backend_name,
-    pin_backend,
     set_default_backend,
     use_backend,
 )
@@ -62,12 +55,8 @@ _LAZY = {
     "compile_plan": "repro.runtime.plan",
     "step_kind": "repro.runtime.plan",
     "STEP_KINDS": "repro.runtime.plan",
-    "AUTO_PINS": "repro.runtime.plan",
     "PlanExecutor": "repro.runtime.executor",
     "forward_through_units": "repro.runtime.executor",
-    "autopin": "repro.runtime.autopin",
-    "calibrate": "repro.runtime.autopin",
-    "AUTOPIN_CANDIDATES": "repro.runtime.autopin",
 }
 
 
@@ -86,7 +75,6 @@ __all__ = [
     "Backend",
     "ReferenceBackend",
     "FastBackend",
-    "ParallelBackend",
     "register_backend",
     "available_backends",
     "get_backend",
@@ -96,7 +84,6 @@ __all__ = [
     "default_backend_name",
     "set_default_backend",
     "use_backend",
-    "pin_backend",
     "instrument",
     "Instrumentation",
     "OpCounts",
@@ -108,10 +95,6 @@ __all__ = [
     "compile_plan",
     "step_kind",
     "STEP_KINDS",
-    "AUTO_PINS",
     "PlanExecutor",
     "forward_through_units",
-    "autopin",
-    "calibrate",
-    "AUTOPIN_CANDIDATES",
 ]

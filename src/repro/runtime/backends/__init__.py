@@ -1,12 +1,11 @@
 """Backend registry.
 
 Backends are registered by name and instantiated once (they may hold
-per-thread scratch state and worker pools).  ``reference`` is the seed NumPy
-arithmetic, ``fast`` the BLAS-tiled exact-float32 variant, ``parallel`` the
-row-block-threaded tiling of the fast kernels (plus float32/numba depthwise
-products); all three are bit-identical on every input, so selection is
-purely a performance knob —
-:func:`repro.runtime.autopin.autopin` picks per layer from measured data.
+per-thread scratch state).  ``reference`` is the seed NumPy arithmetic and
+the correctness oracle; ``fast`` runs every int8 kernel it can as an exact
+float32 BLAS GEMM or einsum.  Both are bit-identical on every input, so
+selection is purely a performance knob; GEMM parallelism comes from the
+BLAS library's own threads.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Callable, Dict, List, Union
 
 from repro.runtime.backends.base import Backend
 from repro.runtime.backends.fast import FastBackend, exact_f32_possible
-from repro.runtime.backends.parallel import ParallelBackend
 from repro.runtime.backends.reference import ReferenceBackend, integer_matmul
 
 _FACTORIES: Dict[str, Callable[[], Backend]] = {}
@@ -51,13 +49,11 @@ def get_backend(name: Union[str, Backend]) -> Backend:
 
 register_backend("reference", ReferenceBackend)
 register_backend("fast", FastBackend)
-register_backend("parallel", ParallelBackend)
 
 __all__ = [
     "Backend",
     "ReferenceBackend",
     "FastBackend",
-    "ParallelBackend",
     "register_backend",
     "available_backends",
     "get_backend",

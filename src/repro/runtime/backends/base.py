@@ -78,24 +78,5 @@ class Backend:
         """Materialized per-row quantization ``(int8 levels, row scales)``."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    # resource lifecycle
-    # ------------------------------------------------------------------ #
-    # Backends that own pools (worker threads) override :meth:`shutdown`;
-    # it must be idempotent, and a backend must transparently restart its
-    # pool on the next kernel call after a shutdown.  The base
-    # implementations make every backend usable as a context manager so
-    # tests and short-lived tools release resources deterministically
-    # instead of at interpreter exit.
-
-    def shutdown(self) -> None:
-        """Release pools owned by this backend (idempotent)."""
-
-    def __enter__(self) -> "Backend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -6,7 +6,11 @@ at most ``qmax^2`` and any partial sum of ``K`` products is bounded by
 ``K * qmax^2``, so while that bound stays below 2^24 (float32's exact-integer
 range) a float32 BLAS ``sgemm`` returns the exact integer accumulation — the
 same answer as the INT32 path for every summation order, and roughly an
-order of magnitude faster than NumPy's non-BLAS integer matmul.
+order of magnitude faster than NumPy's non-BLAS integer matmul.  The
+depthwise products use the same window: the forward reduces over one
+kernel window per (position, channel), and the weight gradient reduces over
+row tiles of at most :data:`EXACT_GRAD_ROWS` positions whose exact float32
+partial sums are added in int64.
 
 Operand staging (int8 -> float32 casts, quantization levels) goes through
 per-thread preallocated scratch buffers so the serving hot path stops paying
@@ -48,12 +52,18 @@ def exact_f32_possible(
     return reduce_dim * qmax * rhs_max < 2 ** 24
 
 
-class FastBackend(ReferenceBackend):
-    """Exact-float32 integer GEMMs + scratch-buffer operand staging.
+#: Positions per tile of the float32 depthwise gradient: each position adds
+#: one product bounded by 128^2 to every (channel, tap) sum, so a tile of
+#: this many positions stays inside float32's exact-integer range.
+EXACT_GRAD_ROWS = (2 ** 24 - 1) // (128 * 128)
 
-    Subclasses the reference backend so the kernels it does not accelerate
-    (depthwise einsums, materialized row-wise quantization) exist exactly
-    once — any fix there cannot diverge between backends.
+
+class FastBackend(ReferenceBackend):
+    """Exact-float32 integer kernels + scratch-buffer operand staging.
+
+    Subclasses the reference backend so the integer fallbacks and the
+    kernel it does not accelerate (materialized row-wise quantization)
+    exist exactly once — any fix there cannot diverge between backends.
     """
 
     name = "fast"
@@ -97,12 +107,46 @@ class FastBackend(ReferenceBackend):
             return lhs_f32 @ rhs_f32
         return integer_matmul(lhs_q, rhs_q)
 
-    # int8_depthwise / int8_depthwise_grad: inherited from ReferenceBackend.
-    # Neither kernel maps onto a single BLAS call (the forward reduction is
-    # kernel_area-sized, the gradient spans all positions and exceeds the
-    # float32 exact-integer window for realistic feature maps); the
-    # ``parallel`` backend owns the accelerated versions — tiled float32
-    # einsums with an exact-window row cap, plus the optional numba path.
+    def int8_depthwise(
+        self, cols_q: np.ndarray, weight_q: np.ndarray
+    ) -> np.ndarray:
+        # The per-(position, channel) reduction spans kernel_area products
+        # bounded by 128^2, far inside float32's exact window: the float
+        # einsum vectorizes where the integer einsum cannot.
+        if not (
+            cols_q.dtype == np.int8
+            and weight_q.dtype == np.int8
+            and exact_f32_possible(cols_q.shape[2], qmax=128, rhs_max=128)
+        ):
+            return super().int8_depthwise(cols_q, weight_q)
+        out = np.einsum(
+            "pck,ck->pc",
+            cols_q.astype(np.float32),
+            weight_q.astype(np.float32),
+        )
+        return out.astype(np.int64)
+
+    def int8_depthwise_grad(
+        self, grad_q: np.ndarray, cols_q: np.ndarray
+    ) -> np.ndarray:
+        # The reduction spans every position and leaves the float32 exact
+        # window on realistic feature maps, so it runs over row tiles of at
+        # most EXACT_GRAD_ROWS positions (each tile's partial sums stay below
+        # 2^24) and sums the exact tile results in int64.
+        positions = cols_q.shape[0]
+        if not (
+            grad_q.dtype == np.int8 and cols_q.dtype == np.int8 and positions
+        ):
+            return super().int8_depthwise_grad(grad_q, cols_q)
+        out = np.zeros(cols_q.shape[1:], dtype=np.int64)
+        for r0 in range(0, positions, EXACT_GRAD_ROWS):
+            r1 = min(r0 + EXACT_GRAD_ROWS, positions)
+            out += np.einsum(
+                "pc,pck->ck",
+                grad_q[r0:r1].astype(np.float32),
+                cols_q[r0:r1].astype(np.float32),
+            ).astype(np.int64)
+        return out
 
     def rowwise_quantized_gemm(
         self,

@@ -4,9 +4,9 @@ The nn layers, the training :class:`~repro.quant.int8_ops.Int8Engine`, and
 the serving :class:`~repro.serve.engine.FrozenInt8Kernel` all execute their
 GEMMs through the functions in this module.  Dispatch does three things:
 
-* resolve the **active backend** (per-step pin from :func:`pin_backend` >
-  explicit argument > thread-local override from :func:`use_backend` >
-  ``REPRO_BACKEND`` env var > process default),
+* resolve the **active backend** (explicit argument > thread-local
+  override from :func:`use_backend` > ``REPRO_BACKEND`` env var > process
+  default),
 * run the kernel on that backend,
 * report the operation to per-engine :class:`OpCounts` records and to any
   registered :mod:`instrumentation <repro.runtime.instrument>` hooks — so op
@@ -56,16 +56,7 @@ def default_backend_name() -> str:
 
 
 def active_backend(backend: BackendLike = None) -> Backend:
-    """Resolve the backend for one kernel call.
-
-    A per-layer pin (see :func:`pin_backend`) outranks even an explicit
-    ``backend`` argument: the pin names exactly one plan step, which is more
-    specific than an engine- or config-level default that some caller
-    threaded through as an argument.
-    """
-    pins = getattr(_overrides, "pins", None)
-    if pins:
-        return pins[-1]
+    """Resolve the backend for one kernel call."""
     if backend is not None:
         return get_backend(backend)
     stack = getattr(_overrides, "stack", None)
@@ -94,45 +85,6 @@ def use_backend(backend: BackendLike) -> Iterator[Backend]:
         yield resolved
     finally:
         stack.pop()
-
-
-def autopin(plan, batch_rows=None, cases=None):
-    """Resolve every GEMM step of ``plan`` to its measured backend winner.
-
-    Thin forwarding wrapper over :func:`repro.runtime.autopin.autopin`
-    (imported lazily — the autopin pass pulls in the plan layer, which the
-    dispatch module must not import eagerly).  Exposed here because
-    dispatch is where backend selection lives; ``pins="auto"`` on a config
-    or ``--pin auto`` on the CLI reach the same pass.
-    """
-    from repro.runtime.autopin import autopin as _autopin
-
-    return _autopin(plan, batch_rows=batch_rows, cases=cases)
-
-
-@contextmanager
-def pin_backend(backend: BackendLike) -> Iterator[Backend]:
-    """Route kernels to ``backend`` as a *per-layer pin* for the block.
-
-    The executor wraps each pinned :class:`~repro.runtime.plan.KernelStep`
-    in this scope; unlike :func:`use_backend` it outranks explicit backend
-    arguments, so a frozen serving kernel constructed with an engine-level
-    backend still honours the pin of the layer it is executing.  ``None``
-    leaves the ambient selection untouched.
-    """
-    if backend is None:
-        yield active_backend()
-        return
-    resolved = get_backend(backend)
-    pins = getattr(_overrides, "pins", None)
-    if pins is None:
-        pins = []
-        _overrides.pins = pins
-    pins.append(resolved)
-    try:
-        yield resolved
-    finally:
-        pins.pop()
 
 
 # --------------------------------------------------------------------------- #
@@ -243,8 +195,6 @@ __all__ = [
     "default_backend_name",
     "active_backend",
     "use_backend",
-    "pin_backend",
-    "autopin",
     "matmul",
     "int8_gemm",
     "int8_depthwise",

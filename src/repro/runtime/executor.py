@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +50,6 @@ class PlanExecutor:
         self.plan = plan
         self.backend = backend
         self.static_eval = static_eval
-        # Snapshot the ambient default for lifecycle bookkeeping: an engine
-        # built under one default and closed under another must release the
-        # pools it actually used, not whatever the default is at close time
-        # (kernel execution still follows the live ambient selection).
-        self._default_backend_at_build = dispatch.default_backend_name()
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -64,58 +59,15 @@ class PlanExecutor:
         flatten_input: bool = False,
         backend: BackendLike = None,
         static_eval: bool = False,
-        pins: Optional[Dict[str, str]] = None,
-        auto_rows: Optional[int] = None,
-        auto_input_shape: Optional[Sequence[int]] = None,
     ) -> "PlanExecutor":
-        """Compile ``units`` and wrap the plan in an executor.
-
-        ``pins``, ``auto_rows`` and ``auto_input_shape`` forward to
-        :func:`compile_plan` (per-layer backend pinning — hand-written or
-        ``pins="auto"`` measured, with conv rows scaled by the feature-map
-        positions).
-        """
+        """Compile ``units`` and wrap the plan in an executor."""
         return cls(
-            compile_plan(units, flatten_input=flatten_input,
-                         pins=pins, auto_rows=auto_rows,
-                         auto_input_shape=auto_input_shape),
+            compile_plan(units, flatten_input=flatten_input),
             backend,
             static_eval=static_eval,
         )
 
     # ------------------------------------------------------------------ #
-    def step_backend_objs(self) -> List:
-        """Distinct backend instances this executor's plan can route to.
-
-        Resolves per-step pins (names) and the executor-level selection
-        (name, instance, or the ambient default) through the registry, so
-        an engine constructed with a backend *instance* reaches that exact
-        object — not the registry singleton of the same name.
-        """
-        raw = [
-            step.backend for step in self.plan.steps
-            if step.backend is not None
-        ]
-        raw.append(
-            self.backend if self.backend is not None
-            else self._default_backend_at_build
-        )
-        objs: List = []
-        seen = set()
-        for item in raw:
-            try:
-                backend = dispatch.get_backend(item)
-            except ValueError:  # pragma: no cover - unregistered pin
-                continue
-            if id(backend) not in seen:
-                seen.add(id(backend))
-                objs.append(backend)
-        return objs
-
-    def step_backends(self) -> List[str]:
-        """Distinct backend names this executor's plan can route to."""
-        return sorted(backend.name for backend in self.step_backend_objs())
-
     def _prepare(self, inputs: np.ndarray) -> np.ndarray:
         if self.plan.flatten_input:
             return inputs.reshape(inputs.shape[0], -1)
@@ -123,7 +75,7 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------ #
     def _run_step(self, step: KernelStep, hidden: np.ndarray) -> np.ndarray:
-        """Execute one plan step under its backend pin, if any.
+        """Execute one plan step.
 
         The observability check is two thread-local/module attribute reads;
         un-observed requests take the plain path, which is what keeps
@@ -131,9 +83,6 @@ class PlanExecutor:
         """
         if obs_trace.has_active_trace() or instrument.hooks_active():
             return self._run_step_observed(step, hidden)
-        if step.backend is not None:
-            with dispatch.pin_backend(step.backend):
-                return step.module(hidden)
         return step.module(hidden)
 
     def _run_step_observed(
@@ -141,18 +90,16 @@ class PlanExecutor:
     ) -> np.ndarray:
         """Timed variant of :meth:`_run_step`: span + ``on_step`` emission.
 
-        Attributes each step to the backend that actually ran it (the pin,
-        the executor selection, or the ambient default, resolved inside the
-        pin context).
+        Attributes each step to the backend that runs it (the executor
+        selection or the ambient default).
         """
         rows = int(hidden.shape[0])
         cols = int(np.prod(hidden.shape[1:])) if hidden.ndim > 1 else 1
         name = f"unit{step.unit_index}.{step.kind}"
         with obs_trace.span(name, rows=rows, cols=cols) as attrs:
+            backend_name = dispatch.active_backend().name
             start_s = perf_counter()
-            with dispatch.pin_backend(step.backend) as backend:
-                backend_name = backend.name
-                out = step.module(hidden)
+            out = step.module(hidden)
             duration_ms = (perf_counter() - start_s) * 1e3
             attrs["backend"] = backend_name
         instrument.emit_step(step, duration_ms, backend_name, rows)

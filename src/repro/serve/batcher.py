@@ -95,33 +95,6 @@ class MicroBatcher:
         cache_namespace: Optional[str] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
-        pins = getattr(self.config, "pins", None)
-        if pins:
-            apply_pins = getattr(engine, "apply_pins", None)
-            if not callable(apply_pins):
-                raise TypeError(
-                    "ServeConfig.pins requires an engine exposing "
-                    "apply_pins(pins) (e.g. Int8InferenceEngine); a bare "
-                    "predict callable cannot honour per-layer pins"
-                )
-            # Recompiling here (idempotent) guarantees the config's pins are
-            # in force even when the engine was built without them.  Auto
-            # pins measure at this deployment's coalesced batch height —
-            # when the engine's apply_pins accepts it (signature-checked:
-            # a TypeError from inside pin application must propagate, not
-            # silently retry at the wrong height).
-            import inspect
-
-            try:
-                takes_batch = "batch_size" in inspect.signature(
-                    apply_pins
-                ).parameters
-            except (TypeError, ValueError):  # builtins, exotic callables
-                takes_batch = False
-            if takes_batch:
-                apply_pins(pins, batch_size=self.config.max_batch_size)
-            else:
-                apply_pins(pins)
         predict = getattr(engine, "predict", None)
         self._predict: PredictFn = predict if callable(predict) else engine
         if not callable(self._predict):

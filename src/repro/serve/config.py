@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.runtime.backends import Backend, get_backend
-from repro.runtime.plan import AUTO_PINS, validate_pins
 
 
 class ServeConfig:
@@ -40,21 +39,9 @@ class ServeConfig:
     request_timeout_s:
         Default timeout when synchronously waiting for a prediction.
     backend:
-        Runtime kernel backend for the engine (``"reference"``/``"fast"``/
-        ``"parallel"``); ``None`` defers to the ambient :mod:`repro.runtime`
+        Runtime kernel backend for the engine (``"reference"``/``"fast"``);
+        ``None`` defers to the ambient :mod:`repro.runtime`
         selection (``REPRO_BACKEND`` or the process default).
-    pins:
-        Optional per-layer backend pins (``{"gemm": "parallel", "unit0":
-        "fast"}`` — see :func:`repro.runtime.plan.validate_pins` for the
-        spec syntax), or the string ``"auto"`` to resolve every layer to
-        its measured winner (see :mod:`repro.runtime.autopin`).  The
-        micro-batcher applies them to its engine via ``engine.apply_pins``
-        at construction, so they take effect even on an engine built
-        without pins; engines that cannot honour pins (bare predict
-        callables) are rejected.  The engine memoizes compiled plans per
-        ``(units_fingerprint, pins)`` key, so re-applying a pin spec it has
-        seen — including across repeated batcher restarts over one engine —
-        hits the cache instead of recompiling.
     autoscale_wait / min_wait_ms:
         When ``autoscale_wait`` is true the micro-batcher adapts its
         coalescing window to the queue-depth EWMA, between ``min_wait_ms``
@@ -95,7 +82,6 @@ class ServeConfig:
         poll_timeout_ms: float = 20.0,
         request_timeout_s: float = 30.0,
         backend: Any = None,
-        pins: Any = None,
         autoscale_wait: bool = False,
         min_wait_ms: float = 0.0,
         autoscale_workers: bool = False,
@@ -136,10 +122,6 @@ class ServeConfig:
         if backend is not None and not isinstance(backend, Backend):
             get_backend(backend)  # fail at construction, not in a worker
         self.backend = backend
-        if pins == AUTO_PINS:
-            self.pins: Any = AUTO_PINS
-        else:
-            self.pins = dict(validate_pins(pins)) if pins else None
         self.autoscale_wait = bool(autoscale_wait)
         self.min_wait_ms = float(min_wait_ms)
 
@@ -203,7 +185,6 @@ class ServeConfig:
             "poll_timeout_ms": self.poll_timeout_ms,
             "request_timeout_s": self.request_timeout_s,
             "backend": getattr(self.backend, "name", self.backend),
-            "pins": self.pins,
             "autoscale_wait": self.autoscale_wait,
             "min_wait_ms": self.min_wait_ms,
             "autoscale_workers": self.autoscale_workers,

@@ -24,11 +24,8 @@ BLAS calls with fused per-row quantization — the default serving path).
 
 from __future__ import annotations
 
-import atexit
 import hashlib
-import threading
-import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,43 +37,9 @@ from repro.models.registry import build_model
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNormBase
 from repro.obs import trace as obs_trace
-from repro.obs.registry import get_registry
 from repro.quant.int8_ops import OpCounts
 from repro.runtime import dispatch
 
-# Plan-memoization traffic published into the observability registry: a
-# rising compile count under steady traffic means cache keys are churning
-# (pins flapping), which is a serving-latency bug.
-_OBS_PLAN_COMPILES = get_registry().counter(
-    "repro_plan_compiles_total", help="Execution plans compiled.")
-_OBS_PLAN_CACHE_HITS = get_registry().counter(
-    "repro_plan_cache_hits_total", help="Plan-cache hits.")
-
-# Every live engine registers in this WeakSet so one interpreter-exit hook
-# is the single last-resort cleanup path: whatever an interrupted caller
-# (Ctrl-C mid-bench, a crashed test) leaves open still gets its kernel
-# pools stopped.  ``close()`` stays the primary path and is idempotent, so
-# the hook double-closing an already-closed engine is free.
-_LIVE_ENGINES: "weakref.WeakSet" = weakref.WeakSet()
-_ATEXIT_LOCK = threading.Lock()
-_ATEXIT_REGISTERED = False
-
-
-def _close_live_engines() -> None:
-    for engine in list(_LIVE_ENGINES):
-        try:
-            engine.close()
-        except Exception:
-            pass
-
-
-def _register_live_engine(engine) -> None:
-    global _ATEXIT_REGISTERED
-    with _ATEXIT_LOCK:
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_close_live_engines)
-            _ATEXIT_REGISTERED = True
-        _LIVE_ENGINES.add(engine)
 from repro.runtime.backends import exact_f32_possible
 from repro.runtime.dispatch import BackendLike
 from repro.runtime.executor import PlanExecutor
@@ -295,13 +258,6 @@ class Int8InferenceEngine:
     The folded-label read-out executes the units' compiled plan once for all
     ``num_classes`` overlays — valid because the frozen kernels quantize
     activations per row.
-
-    Compiled plans are **memoized** per ``(units_fingerprint, pins)`` key: the units are frozen, so a pin spec (or ``"auto"`` resolution
-    height) seen before maps to the exact executor compiled for it —
-    repeated :meth:`apply_pins` calls and A/B sweeps over pin policies stop
-    paying plan compilation, auto-pin measurement, or weight re-staging.
-    :attr:`plan_compiles` / :meth:`plan_cache_stats` expose the counters
-    the cache tests (and ``serve-bench``) read.
     """
 
     def __init__(
@@ -313,7 +269,6 @@ class Int8InferenceEngine:
         skip_first_layer: Optional[bool] = None,
         counts: Optional[OpCounts] = None,
         backend: BackendLike = None,
-        pins: Optional[dict] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
     ) -> None:
         if not units:
@@ -329,25 +284,17 @@ class Int8InferenceEngine:
         self.skip_first_layer = skip_first_layer
         self.counts = counts if counts is not None else OpCounts()
         self.input_shape = tuple(input_shape) if input_shape else None
-        self._backend = backend
         for unit in self.units:
             unit.eval()
             unit.set_activation_caching(False)
-        # Plan memoization state.  The units fingerprint is computed once —
-        # the weights are frozen for the engine's lifetime — and anchors
-        # every cache key, so a key can never outlive the weights it was
-        # compiled for.
+        # Computed once: the weights are frozen for the engine's lifetime.
         self._units_fp = self._units_fingerprint(self.units)
-        self._plan_cache: Dict[tuple, PlanExecutor] = {}
-        self._plan_compiles = 0
-        self._plan_cache_hits = 0
         # Units are permanently eval from here on; static_eval spares the
-        # per-batch mode save/restore walk on the serving hot path.  The
-        # compiled plan honours the per-layer backend pins (``pins="auto"``
-        # resolves them from measured timings at the folded-label batch
-        # height).
-        self.executor = self._executor_for(pins, self._auto_rows())
-        _register_live_engine(self)
+        # per-batch mode save/restore walk on the serving hot path.
+        self.executor = PlanExecutor.for_units(
+            self.units, flatten_input=self.flatten_input,
+            backend=backend, static_eval=True,
+        )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -356,17 +303,14 @@ class Int8InferenceEngine:
         artifact: InferenceArtifact,
         bundle: Optional[ModelBundle] = None,
         backend: BackendLike = None,
-        pins: Optional[dict] = None,
     ) -> "Int8InferenceEngine":
         """Materialize an engine from an exported artifact.
 
         When ``bundle`` is omitted the module skeleton is rebuilt from the
         artifact's registry reference.  The passed bundle's blocks are frozen
         in place (weights overwritten, INT8 kernels attached) — do not keep
-        training it afterwards.  ``backend`` pins a kernel backend for this
-        engine; by default the ambient runtime selection applies.  ``pins``
-        overrides the backend per layer (a pinned layer outranks even the
-        engine-level backend).
+        training it afterwards.  ``backend`` selects the kernel backend for
+        this engine; by default the ambient runtime selection applies.
         """
         if bundle is None:
             bundle = _bundle_from_metadata(artifact)
@@ -388,19 +332,16 @@ class Int8InferenceEngine:
             skip_first_layer=artifact.skip_first_layer,
             counts=counts,
             backend=backend,
-            pins=pins,
             input_shape=artifact.input_shape,
         )
 
-    # ------------------------------------------------------------------ #
-    # plan memoization
     # ------------------------------------------------------------------ #
     @staticmethod
     def _units_fingerprint(units: Sequence[Module]) -> str:
         """Content digest over every frozen parameter of the unit stack.
 
-        Computed once at construction (the engine's weights are immutable)
-        and folded into every plan-cache key.
+        Computed once at construction (the engine's weights are immutable);
+        it is the engine's :attr:`cache_namespace`.
         """
         digest = hashlib.blake2b(digest_size=16)
         for index, unit in enumerate(units):
@@ -408,99 +349,6 @@ class Int8InferenceEngine:
                 digest.update(f"unit{index}.{name}".encode())
                 digest.update(np.ascontiguousarray(param.data).tobytes())
         return digest.hexdigest()
-
-    def _plan_key(self, pins, auto_rows: int) -> tuple:
-        """Cache key for one compiled plan: (units, pins [, rows])."""
-        if pins is None:
-            pins_key = None
-        elif isinstance(pins, str):  # AUTO_PINS: resolution depends on rows
-            pins_key = (pins, int(auto_rows))
-        else:
-            pins_key = tuple(sorted(dict(pins).items()))
-        return (self._units_fp, pins_key)
-
-    def _executor_for(self, pins, auto_rows: int) -> PlanExecutor:
-        key = self._plan_key(pins, auto_rows)
-        executor = self._plan_cache.get(key)
-        if executor is not None:
-            self._plan_cache_hits += 1
-            _OBS_PLAN_CACHE_HITS.inc()
-            return executor
-        executor = PlanExecutor.for_units(
-            self.units, flatten_input=self.flatten_input,
-            backend=self._backend, static_eval=True, pins=pins, auto_rows=auto_rows,
-            auto_input_shape=(
-                None if self.flatten_input else self.input_shape
-            ),
-        )
-        self._plan_compiles += 1
-        _OBS_PLAN_COMPILES.inc()
-        self._plan_cache[key] = executor
-        return executor
-
-    @property
-    def plan_compiles(self) -> int:
-        """How many plans this engine actually compiled (cache misses)."""
-        return self._plan_compiles
-
-    def plan_cache_stats(self) -> Dict[str, int]:
-        """Snapshot of the plan-memoization counters."""
-        return {
-            "compiles": self._plan_compiles,
-            "hits": self._plan_cache_hits,
-            "entries": len(self._plan_cache),
-        }
-
-    def _auto_rows(self, batch_size: Optional[int] = None) -> int:
-        """Expected GEMM rows for auto-pinning: folded labels x batch."""
-        return self.overlay.num_classes * int(batch_size or 32)
-
-    def apply_pins(
-        self, pins, batch_size: Optional[int] = None
-    ) -> "Int8InferenceEngine":
-        """Swap the execution plan to one compiled with ``pins``.
-
-        Replaces any pins the plan was compiled with; the micro-batcher
-        calls this so ``ServeConfig.pins`` reaches an engine that was built
-        without them.  ``pins`` may be a spec mapping or ``"auto"``
-        (measured resolution at ``batch_size`` coalesced requests — the
-        engine folds all label overlays into the batch dimension, so the
-        GEMM height is ``num_classes * batch_size``).  Plans are memoized
-        per ``(units_fingerprint, pins)``: a pin spec seen before
-        returns its already-compiled executor (object identity), so
-        A/B-ing pin policies — or the batcher re-applying the config's
-        pins — never recompiles or re-measures.  Returns ``self`` for
-        chaining.
-        """
-        self.executor = self._executor_for(pins, self._auto_rows(batch_size))
-        return self
-
-    def close(self) -> None:
-        """Release kernel-backend pools this engine's plans route to.
-
-        The engine owns the serving pool lifecycle: closing it shuts down
-        the worker-thread pools of every backend any of its **cached**
-        plans — not just the active one — is pinned or configured to use.
-        Backends restart their pools lazily, so closing a shared backend is
-        safe for other engines — they pay one pool restart, never a wrong
-        answer.  Idempotent.
-        """
-        executors = list(getattr(self, "_plan_cache", {}).values())
-        executor = getattr(self, "executor", None)
-        if executor is not None and executor not in executors:
-            executors.append(executor)
-        seen = set()
-        for ex in executors:
-            for backend in ex.step_backend_objs():
-                if id(backend) not in seen:
-                    seen.add(id(backend))
-                    backend.shutdown()
-
-    def __enter__(self) -> "Int8InferenceEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @property
     def num_classes(self) -> int:
@@ -576,12 +424,9 @@ def build_engine(
     artifact: InferenceArtifact,
     bundle: Optional[ModelBundle] = None,
     backend: BackendLike = None,
-    pins: Optional[dict] = None,
 ) -> Int8InferenceEngine:
     """Convenience alias for :meth:`Int8InferenceEngine.from_artifact`."""
-    return Int8InferenceEngine.from_artifact(
-        artifact, bundle, backend=backend, pins=pins
-    )
+    return Int8InferenceEngine.from_artifact(artifact, bundle, backend=backend)
 
 
 def frozen_classifier(

@@ -11,7 +11,7 @@ not monkey-patching:
 * :class:`FaultyEngine` — wraps any engine the
   :class:`~repro.serve.batcher.MicroBatcher` accepts and applies a
   schedule to its ``predict``.  Everything else (``input_shape``,
-  ``apply_pins``, ``close``…) proxies through, so a wrapped
+  ``cache_namespace``, ``close``…) proxies through, so a wrapped
   :class:`~repro.serve.engine.Int8InferenceEngine` is indistinguishable
   from a healthy one between injected faults.
 * :func:`flaky_factory` — an engine factory whose first *N* constructions
@@ -74,8 +74,8 @@ class FaultyEngine:
 
     ``predict`` counts calls (thread-safely) and consults the schedule;
     every other attribute — ``input_shape``, ``num_classes``,
-    ``apply_pins`` — resolves on the wrapped engine, so the batcher's
-    config-enforcement handshakes all still work.
+    ``cache_namespace`` — resolves on the wrapped engine, so the batcher
+    and supervisor see the wrapped engine's attributes.
     """
 
     def __init__(self, engine, schedule: Optional[FaultSchedule] = None,

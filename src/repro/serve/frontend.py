@@ -30,7 +30,7 @@ The server runs an asyncio loop in a background thread and feeds a
 :class:`FrontendClient` is the reference client (and the ``serve-bench
 --client`` engine).  Graceful drain follows a strict order: stop intake
 (new requests shed with ``draining``), flush in-flight work, then close
-engines and kernel pools deterministically.
+engines deterministically.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class ServeFrontend:
            explicit outcome, bounded by ``timeout`` (default the config's
            ``drain_timeout_s``).
         3. **Close the pool** — the supervisor drains each replica batcher
-           and closes every engine, which shuts down kernel worker pools.
+           and closes every engine.
 
         Idempotent; :meth:`close` calls it before stopping the loop.
         """

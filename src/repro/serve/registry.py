@@ -587,9 +587,8 @@ class ModelRegistry:
     def close(self) -> None:
         """Close every canonical engine exactly once (idempotent).
 
-        Engine ``close()`` shuts down each cached plan's kernel backends
-        (worker pools); fingerprint-shared engines are
-        closed once, and shared backends tolerate double close.
+        Engines exposing ``close()`` (such as fault-injection wrappers)
+        get it called; fingerprint-shared engines are closed once.
         """
         with self._lock:
             if self._closed:

@@ -1,7 +1,7 @@
 """Supervised pool of inference-engine replicas with restart-and-reroute.
 
-One engine (plus its micro-batcher) is a single point of failure: a wedged
-kernel pool or any engine-pass exception takes the whole serving path down
+One engine (plus its micro-batcher) is a single point of failure: any
+engine-pass exception takes the whole serving path down
 with it.  The :class:`ReplicaSupervisor` removes
 that coupling:
 
@@ -19,8 +19,8 @@ that coupling:
   replica while the request's deadline still has budget.
 * **Supervision.**  A monitor thread restarts failed replicas with capped
   exponential backoff (``restart_backoff_ms`` doubling up to
-  ``restart_backoff_max_ms``): close the old engine (which shuts down its
-  kernel worker pools; they restart lazily), build a fresh one from the
+  ``restart_backoff_max_ms``): close the old engine (when it exposes
+  ``close``), build a fresh one from the
   set's factory, probe it with a real forward pass, and only then route
   traffic back.  A set removed mid-restart (a hot-swap retired its
   version) is never resurrected: the restart discards the fresh engine
@@ -266,8 +266,8 @@ class ReplicaSupervisor:
         The drain order is the graceful one the front-end documents: stop
         intake (each batcher sheds new work), flush in-flight batches
         (bounded by ``drain_timeout``, default the config's
-        ``drain_timeout_s``), then close every engine — which shuts down
-        kernel worker pools.  Idempotent.
+        ``drain_timeout_s``), then close every engine that exposes
+        ``close``.  Idempotent.
         """
         with self._lock:
             if not self._running:

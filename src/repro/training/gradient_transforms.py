@@ -26,8 +26,27 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.quant.qconfig import QuantConfig
+from repro.quant.rounding import apply_rounding
 from repro.quant.suq import fake_quantize
 from repro.utils.rng import RngLike, new_rng
+
+
+def _quantize_clipped(
+    grad: np.ndarray, threshold: float, config: QuantConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """SUQ fake-quantization of ``grad`` on a grid fixed by ``threshold``.
+
+    Values are clipped to ``±threshold``, divided by the step
+    ``threshold / qmax``, rounded with ``config.rounding``, clipped to
+    ``[qmin, qmax]`` and rescaled.  ``threshold`` must be positive.
+    """
+    scale = threshold / config.qmax
+    levels = np.clip(grad, -threshold, threshold) / scale
+    rounded = apply_rounding(levels, config.rounding, rng=rng)
+    return (np.clip(rounded, config.qmin, config.qmax) * scale).astype(
+        np.float32
+    )
 
 
 class GradientTransform:
@@ -90,13 +109,7 @@ class DirectInt8Gradient(GradientTransform):
         threshold = self._calibrated_scale.get(param_name, abs_max)
         if threshold <= 0.0:
             return grad
-        scale = threshold / self.config.qmax
-        from repro.quant.rounding import apply_rounding
-
-        levels = np.clip(grad, -threshold, threshold) / scale
-        rounded = apply_rounding(levels, self.config.rounding, rng=self._rng)
-        quantized = np.clip(rounded, self.config.qmin, self.config.qmax)
-        return (quantized * scale).astype(np.float32)
+        return _quantize_clipped(grad, threshold, self.config, self._rng)
 
 
 class UI8Gradient(GradientTransform):
@@ -204,19 +217,7 @@ class GDAI8Gradient(GradientTransform):
         self._running_threshold[param_name] = threshold
         if threshold <= 0.0:
             return grad
-        clipped = np.clip(grad, -threshold, threshold)
-        scale = threshold / self.config.qmax
-        return fake_quantize(
-            clipped, self.config, rng=self._rng
-        ) if scale == 0 else self._quantize_with_scale(clipped, scale)
-
-    def _quantize_with_scale(self, values: np.ndarray, scale: float) -> np.ndarray:
-        from repro.quant.rounding import apply_rounding
-
-        levels = values / scale
-        rounded = apply_rounding(levels, self.config.rounding, rng=self._rng)
-        clipped = np.clip(rounded, self.config.qmin, self.config.qmax)
-        return (clipped * scale).astype(np.float32)
+        return _quantize_clipped(grad, threshold, self.config, self._rng)
 
 
 def build_gradient_transform(name: str, **kwargs) -> GradientTransform:

@@ -74,18 +74,12 @@ def machine_meta(backend: Optional[object] = None) -> Dict[str, Any]:
         "numpy": np.__version__,
         "blas": _blas_info(),
         "backend": str(backend_name),
-        "parallel_workers_env": os.environ.get("REPRO_PARALLEL_WORKERS"),
     }
 
 
 #: meta fields that identify the machine + numeric stack a wall-clock
 #: number was measured on (plus the BLAS build, compared separately).
-#: Worker-count overrides belong here too: a record measured with a
-#: constrained pool does not speak for the same machine at full width.
-SAME_MACHINE_KEYS = (
-    "cpu_count", "cpu_model", "machine", "numpy",
-    "parallel_workers_env",
-)
+SAME_MACHINE_KEYS = ("cpu_count", "cpu_model", "machine", "numpy")
 
 
 def same_machine(meta_a: Optional[Dict[str, Any]],
@@ -93,9 +87,9 @@ def same_machine(meta_a: Optional[Dict[str, Any]],
     """True when two ``meta`` blocks describe one machine + numeric stack.
 
     This is the single definition of "are these wall-clock numbers
-    comparable / do they speak for this CPU": benchmark baseline diffing
-    and auto-pinning staleness both route through it, so the rule cannot
-    drift between them.
+    comparable": benchmark baseline diffing routes through it.  Fields
+    outside :data:`SAME_MACHINE_KEYS`, such as the worker-count fields some
+    older records carry, never affect the answer.
     """
     meta_a, meta_b = meta_a or {}, meta_b or {}
     for key in SAME_MACHINE_KEYS:

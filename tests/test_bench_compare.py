@@ -6,20 +6,23 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.analysis import ExperimentResult
+from repro.serve import MicroBatcher, ServeConfig
 from repro.utils.sysinfo import machine_meta, same_machine
 
 
-def _load_compare():
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
-    spec = importlib.util.spec_from_file_location("bench_compare", path)
+def _load_benchmark_module(name):
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-compare = _load_compare()
+compare = _load_benchmark_module("compare")
 
 
 def _record(results, meta=None):
@@ -95,7 +98,7 @@ class TestCompareRecord:
         assert hard == [] and len(notes) == 1
 
     def test_missing_leaf_is_flagged(self):
-        base = _record({"kernels": {"case": {"fast": 1.0, "parallel": 2.0}}})
+        base = _record({"kernels": {"case": {"fast": 1.0, "reference": 2.0}}})
         fresh = _record({"kernels": {"case": {"fast": 1.0}}})
         hard, _, _ = compare.compare_record(base, fresh, 1.0)
         assert any("missing" in line for line in hard)
@@ -133,18 +136,18 @@ class TestObsContext:
         return _record({"elapsed_s": 1.0}, meta=meta)
 
     def test_counter_drift_is_reported(self):
-        base = self._with_obs({"repro_plan_compiles_total": 1,
+        base = self._with_obs({"repro_serve_requests_total": 1,
                                "repro_replica_restarts_total": 0})
-        fresh = self._with_obs({"repro_plan_compiles_total": 3,
+        fresh = self._with_obs({"repro_serve_requests_total": 3,
                                 "repro_replica_restarts_total": 0})
         lines = compare._obs_context(base, fresh)
-        assert lines == ["obs repro_plan_compiles_total: 1 -> 3"]
+        assert lines == ["obs repro_serve_requests_total: 1 -> 3"]
 
     def test_absent_counters_are_named(self):
         base = _record({"elapsed_s": 1.0})  # pre-obs record: no meta.obs
-        fresh = self._with_obs({"repro_plan_compiles_total": 2})
+        fresh = self._with_obs({"repro_serve_requests_total": 2})
         lines = compare._obs_context(base, fresh)
-        assert lines == ["obs repro_plan_compiles_total: absent -> 2"]
+        assert lines == ["obs repro_serve_requests_total: absent -> 2"]
 
     def test_no_obs_blocks_is_silent(self):
         base = _record({"elapsed_s": 1.0})
@@ -213,3 +216,35 @@ class TestCompareMain:
         ])
         assert code == 0
         assert "skipped" in capsys.readouterr().out
+
+
+class TestBenchmarkObsDelta:
+    """``meta.obs`` holds what one benchmark did, not the process history."""
+
+    @staticmethod
+    def _serve(requests):
+        config = ServeConfig(max_wait_ms=0.0, cache_capacity=0,
+                             dedup_inflight=False)
+        with MicroBatcher(lambda batch: np.zeros(len(batch), dtype=np.int64),
+                          config) as batcher:
+            batcher.predict_many(
+                [np.full(3, i, dtype=np.float32) for i in range(requests)]
+            )
+
+    def test_back_to_back_records_have_equal_counters(self, tmp_path,
+                                                      monkeypatch):
+        common = _load_benchmark_module("_common")
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        records = []
+        for earlier_requests in (1, 5):
+            self._serve(earlier_requests)  # traffic of an earlier test
+            common.mark_obs_baseline()
+            self._serve(8)
+            path = common.save_experiment(ExperimentResult(
+                experiment_id="obs_window", paper_reference="-",
+                description="-", results={"requests": 8},
+            ))
+            records.append(json.loads(path.read_text())["meta"]["obs"])
+        assert records[0]["counters"] == records[1]["counters"]
+        assert records[0]["counters"]["repro_serve_requests_total"] == 8
+        assert records[0]["histograms"]["repro_serve_latency_ms"]["count"] == 8

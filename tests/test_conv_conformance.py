@@ -1,10 +1,10 @@
 """Cross-backend conv conformance suite.
 
 The conv serving path (im2col'd INT8 GEMMs, eval-mode BatchNorm,
-thread-tiled depthwise products) is only trusted because every optimized
-backend is proven bit-identical to the seed reference walk — the same gate
-DALC applies to its optimized decode path.  This suite sweeps kernel size /
-stride / padding / channels across all three backends, float and
+float32 depthwise products) is only trusted because the optimized backend
+is proven bit-identical to the seed reference walk — the same gate DALC
+applies to its optimized decode path.  This suite sweeps kernel size /
+stride / padding / channels across both backends, float and
 frozen-INT8, and pins down:
 
 * conv / depthwise / conv+BN / conv+BN+activation outputs equal the
@@ -33,7 +33,7 @@ from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.norm import BatchNorm2d
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
-from repro.runtime.backends import ParallelBackend, available_backends
+from repro.runtime.backends import available_backends
 from repro.runtime.executor import PlanExecutor
 from repro.serve import build_engine, export_artifact
 from repro.serve.engine import FrozenInt8Kernel
@@ -219,26 +219,6 @@ class TestConvConformance:
             assert not x.flags["C_CONTIGUOUS"] or x.base is not None
             _assert_conformance(units, x)
 
-    def test_tiled_conv_path_with_forced_worker_threads(self):
-        """Real multi-thread tiling, even on a single-core host."""
-        rng = np.random.default_rng(19)
-        units = _eval_units(
-            [
-                _conv_unit((3, 3), (1, 1), (1, 1), 3, 8, True, ReLU, 5),
-                _depthwise_unit((3, 3), (1, 1), (1, 1), 8, True, ReLU6, 6),
-            ],
-            rng, quantized=True,
-        )
-        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        expected = PlanExecutor.for_units(
-            units, backend="reference"
-        ).forward(x)
-        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
-            got = PlanExecutor.for_units(units, backend=backend).forward(x)
-            np.testing.assert_array_equal(
-                got, expected, err_msg="tiled conv path diverged"
-            )
-
 
 # --------------------------------------------------------------------------- #
 # trained-BatchNorm engines and the golden goodness digest
@@ -287,25 +267,23 @@ class TestTrainedBatchNormGolden:
     ):
         engine, inputs = _trained_engine(model, shape, backend)
         expected, _ = _trained_engine(model, shape, "reference")
-        with engine, expected:
-            np.testing.assert_array_equal(
-                engine.goodness_matrix(inputs),
-                expected.goodness_matrix(inputs),
-                err_msg=f"{model} goodness diverged on {backend}",
-            )
-            np.testing.assert_array_equal(
-                engine.predict(inputs), expected.predict(inputs)
-            )
+        np.testing.assert_array_equal(
+            engine.goodness_matrix(inputs),
+            expected.goodness_matrix(inputs),
+            err_msg=f"{model} goodness diverged on {backend}",
+        )
+        np.testing.assert_array_equal(
+            engine.predict(inputs), expected.predict(inputs)
+        )
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_mobilenet_goodness_matches_golden_digest(self, backend):
         engine, inputs = _trained_engine(
             "mobilenet_v2-mini", (3, 16, 16), backend
         )
-        with engine:
-            matrix = np.ascontiguousarray(
-                engine.goodness_matrix(inputs), dtype=np.float32
-            )
+        matrix = np.ascontiguousarray(
+            engine.goodness_matrix(inputs), dtype=np.float32
+        )
         digest = hashlib.blake2b(matrix.tobytes(), digest_size=16)
         assert matrix.shape == (5, 10)
         assert digest.hexdigest() == MOBILENET_GOODNESS_DIGEST

@@ -309,29 +309,21 @@ class TestFingerprintDedup:
         assert reg.engine("m@v3") is not reg.engine("m@v1")
         assert reg.stats()["engine_builds"] == 2
 
-    def test_dedup_shares_one_real_engine_and_close_releases_pools(self):
+    def test_dedup_shares_one_real_engine(self):
         """Real engines: the second version reuses the first's engine."""
-        from repro.runtime.backends import ParallelBackend
-
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        try:
-            artifact = _export_mlp()
-            reg = ModelRegistry(
-                engine_builder=lambda frozen: build_engine(
-                    frozen, _mlp_h2(seed=0), backend=backend))
-            reg.register("mlp", "v1", artifact)
-            reg.register("mlp", "v2", artifact, make_default=False)
-            first = reg.engine("mlp@v1")
-            assert reg.engine("mlp@v2") is first
-            assert reg.stats()["engine_builds"] == 1
-            # ...and the shared engine actually serves.
-            first.predict(_inputs((1, 14, 14), 40))
-            assert backend.pool_active
-            reg.close()
-            assert not backend.pool_active  # plan backends released
-            reg.close()  # idempotent
-        finally:
-            backend.shutdown()
+        artifact = _export_mlp()
+        reg = ModelRegistry(
+            engine_builder=lambda frozen: build_engine(
+                frozen, _mlp_h2(seed=0)))
+        reg.register("mlp", "v1", artifact)
+        reg.register("mlp", "v2", artifact, make_default=False)
+        first = reg.engine("mlp@v1")
+        assert reg.engine("mlp@v2") is first
+        assert reg.stats()["engine_builds"] == 1
+        # ...and the shared engine actually serves.
+        assert first.predict(_inputs((1, 14, 14), 40)).shape == (40,)
+        reg.close()
+        reg.close()  # idempotent
 
     def test_close_closes_each_engine_exactly_once(self):
         artifact = _stub_artifact(1.0)
@@ -406,14 +398,8 @@ class TestCacheNamespacing:
     def test_real_engine_namespace_is_its_fingerprint(self):
         artifact = _export_mlp()
         engine = build_engine(artifact, _mlp_h2(seed=1))
-        try:
-            namespace = engine.cache_namespace
-            assert isinstance(namespace, str) and namespace
-            # Stable across rebuilds of the same frozen params...
-            twin = build_engine(artifact, _mlp_h2(seed=2))
-            try:
-                assert twin.cache_namespace == namespace
-            finally:
-                twin.close()
-        finally:
-            engine.close()
+        namespace = engine.cache_namespace
+        assert isinstance(namespace, str) and namespace
+        # Stable across rebuilds of the same frozen params...
+        twin = build_engine(artifact, _mlp_h2(seed=2))
+        assert twin.cache_namespace == namespace

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import signal
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,16 +19,14 @@ from repro.runtime import (
     compile_plan,
     get_backend,
     instrumented,
-    pin_backend,
     register_backend,
     set_default_backend,
     use_backend,
 )
 from repro.runtime import dispatch, instrument
-from repro.runtime.backends import FastBackend, ParallelBackend, ReferenceBackend
-from repro.runtime.backends.fast import exact_f32_possible
+from repro.runtime.backends import FastBackend, ReferenceBackend
+from repro.runtime.backends.fast import EXACT_GRAD_ROWS, exact_f32_possible
 from repro.runtime.executor import PlanExecutor, forward_through_units
-from repro.runtime.plan import validate_pins
 
 
 def _mlp_units(hidden_layers=2, hidden_units=32, seed=0):
@@ -153,24 +148,25 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("no-such-backend")
 
-    def test_builtin_backends_are_exactly_three(self):
-        assert available_backends() == ["fast", "parallel", "reference"]
+    def test_builtin_backends_are_exactly_two(self):
+        assert available_backends() == ["fast", "reference"]
 
     def test_removed_shard_backend_is_unknown(self, monkeypatch, capsys):
-        """``shard`` is gone everywhere a backend name is accepted."""
+        """Removed backends are gone everywhere a backend name is accepted."""
         from repro.cli import build_parser
 
-        expected = (r"unknown backend 'shard'; "
-                    r"available: \['fast', 'parallel', 'reference'\]")
-        with pytest.raises(ValueError, match=expected):
-            get_backend("shard")
-        monkeypatch.setenv(dispatch.BACKEND_ENV_VAR, "shard")
-        with pytest.raises(ValueError, match=expected):
-            dispatch.active_backend()
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["serve-bench", "--backend", "shard"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'shard'" in capsys.readouterr().err
+        for name in ("shard", "parallel"):
+            expected = (rf"unknown backend '{name}'; "
+                        r"available: \['fast', 'reference'\]")
+            with pytest.raises(ValueError, match=expected):
+                get_backend(name)
+            monkeypatch.setenv(dispatch.BACKEND_ENV_VAR, name)
+            with pytest.raises(ValueError, match=expected):
+                dispatch.active_backend()
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["serve-bench", "--backend", name])
+            assert exit_info.value.code == 2
+            assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
     def test_instance_passthrough(self):
         backend = FastBackend()
@@ -425,7 +421,7 @@ class TestPlanMatchesReference:
     here compares the compiled plan on an optimized backend with the seed
     arithmetic."""
 
-    @pytest.mark.parametrize("backend", ["fast", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast"])
     def test_plan_matches_reference_all_activations(self, backend):
         from repro.nn.activations import (
             LeakyReLU, ReLU, ReLU6, Sigmoid, SiLU, Tanh,
@@ -499,153 +495,20 @@ class TestPlanMatchesReference:
         assert labels == [0, 0, 5, 9, 0, 5, 9, 9, 0, 1, 3, 7, 9, 9, 3, 9]
 
 
-class TestBackendPinning:
-    def test_pin_backend_outranks_explicit_argument(self):
-        with pin_backend("reference"):
-            assert dispatch.active_backend("fast").name == "reference"
-        assert dispatch.active_backend("fast").name == "fast"
+class TestFastDepthwise:
+    """``fast``'s float32 depthwise kernels against the integer einsums."""
 
-    def test_pin_backend_none_is_passthrough(self):
-        with use_backend("fast"):
-            with pin_backend(None):
-                assert dispatch.active_backend().name == "fast"
-
-    def test_pinned_step_routes_to_pinned_backend(self):
-        calls = []
-
-        class Recording(ReferenceBackend):
-            name = "recording-test"
-
-            def matmul(self, a, b):
-                calls.append(a.shape)
-                return super().matmul(a, b)
-
-        register_backend("recording-test", Recording)
-        try:
-            _, units = _mlp_units()
-            for unit in units:
-                unit.eval()
-            x = np.random.default_rng(8).normal(size=(4, 64)).astype(
-                np.float32
-            )
-            executor = PlanExecutor.for_units(
-                units, backend="fast",
-                pins={"unit1.gemm": "recording-test"},
-            )
-            reference_out = PlanExecutor.for_units(
-                units, backend="fast"
-            ).unit_outputs(x)
-            pinned_out = executor.unit_outputs(x)
-            assert len(calls) == 1  # exactly the pinned gemm
-            for a, b in zip(pinned_out, reference_out):
-                np.testing.assert_array_equal(a, b)
-        finally:
-            from repro.runtime.backends import _FACTORIES, _INSTANCES
-            _FACTORIES.pop("recording-test", None)
-            _INSTANCES.pop("recording-test", None)
-
-    def test_generic_pin_shadowed_by_specific_still_counts(self):
-        _, units = _mlp_units()
-        plan = compile_plan(
-            units,
-            pins={"gemm": "parallel", "unit0.gemm": "fast",
-                  "unit1.gemm": "fast"},
-        )
-        gemm_pins = [
-            step.backend for step in plan.steps if step.kind == "gemm"
-        ]
-        # The specific pins win on every gemm; the shadowed generic spec is
-        # not reported as a typo.
-        assert gemm_pins == ["fast", "fast"]
-
-    def test_invalid_pin_specs_rejected(self):
-        _, units = _mlp_units()
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            compile_plan(units, pins={"bogus-layer": "fast"})
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            validate_pins({"unit0.conv2d": "fast"})
-        with pytest.raises(ValueError, match="unknown backend"):
-            compile_plan(units, pins={"gemm": "no-such-backend"})
-        with pytest.raises(ValueError, match="matched no step"):
-            compile_plan(units, pins={"depthwise": "fast"})
-        with pytest.raises(ValueError, match="matched no step"):
-            compile_plan(units, pins={"unit5": "fast"})
-
-    def test_configs_validate_pins_eagerly(self):
-        from repro.core.ff_trainer import FFConfig
-        from repro.serve import ServeConfig
-
-        with pytest.raises(ValueError, match="invalid pin spec"):
-            FFConfig(pins={"not a layer": "fast"})
-        with pytest.raises(ValueError, match="unknown backend"):
-            ServeConfig(pins={"gemm": "fats"})
-        assert ServeConfig(pins={"gemm": "parallel"}).pins == {
-            "gemm": "parallel"
-        }
-        assert validate_pins({"unit0.gemm": "fast"}) == {"unit0.gemm": "fast"}
-
-
-class TestParallelBackend:
-    """The parallel backend must be bit-identical to the reference backend."""
-
-    def _forced(self):
-        # Force real tiling even on single-core CI machines.
-        return ParallelBackend(num_workers=4, min_rows_per_tile=8)
-
-    def test_registered(self):
-        assert "parallel" in available_backends()
-        assert isinstance(get_backend("parallel"), ParallelBackend)
-
-    @given(
-        rows=st.integers(1, 80),
-        inner=st.integers(1, 600),
-        cols=st.integers(1, 12),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_int8_gemm_parity(self, rows, inner, cols, seed):
-        rng = np.random.default_rng(seed)
-        lhs = rng.integers(-128, 128, size=(rows, inner)).astype(np.int8)
-        rhs = rng.integers(-128, 128, size=(inner, cols)).astype(np.int8)
-        ref = ReferenceBackend().int8_gemm(lhs, rhs)
-        par = self._forced().int8_gemm(lhs, rhs)
-        np.testing.assert_array_equal(
-            np.asarray(ref, dtype=np.int64), np.asarray(par, dtype=np.int64)
-        )
-
-    @given(seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=10, deadline=None)
-    def test_wide_dtype_gemm_parity(self, seed):
-        rng = np.random.default_rng(seed)
-        lhs = rng.integers(-300, 300, size=(40, 32)).astype(np.int16)
-        rhs = rng.integers(-300, 300, size=(32, 6)).astype(np.int16)
-        ref = ReferenceBackend().int8_gemm(lhs, rhs)
-        par = self._forced().int8_gemm(lhs, rhs)
-        assert par.dtype == np.int64
-        np.testing.assert_array_equal(ref, par)
-
-    @given(
-        rows=st.integers(1, 64),
-        inner=st.integers(1, 300),
-        cols=st.integers(1, 10),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_rowwise_quantized_gemm_parity(self, rows, inner, cols, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(rows, inner)).astype(np.float32)
-        rhs = rng.integers(-127, 128, size=(inner, cols)).astype(np.int8)
-        acc_ref, scales_ref = ReferenceBackend().rowwise_quantized_gemm(
-            x, rhs, 127
-        )
-        acc_par, scales_par = self._forced().rowwise_quantized_gemm(
-            x, rhs, 127
-        )
-        np.testing.assert_array_equal(scales_ref, scales_par)
-        np.testing.assert_array_equal(
-            np.asarray(acc_ref, dtype=np.float64),
-            np.asarray(acc_par, dtype=np.float64),
-        )
+    @staticmethod
+    def _assert_parity(cols, weight, grad):
+        reference, fast = ReferenceBackend(), FastBackend()
+        for want, got in (
+            (reference.int8_depthwise(cols, weight),
+             fast.int8_depthwise(cols, weight)),
+            (reference.int8_depthwise_grad(grad, cols),
+             fast.int8_depthwise_grad(grad, cols)),
+        ):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
     @given(
         positions=st.integers(1, 400),
@@ -656,139 +519,45 @@ class TestParallelBackend:
     @settings(max_examples=25, deadline=None)
     def test_depthwise_parity(self, positions, channels, kernel, seed):
         rng = np.random.default_rng(seed)
-        cols = rng.integers(
-            -128, 128, size=(positions, channels, kernel)
-        ).astype(np.int8)
-        weight = rng.integers(-128, 128, size=(channels, kernel)).astype(
-            np.int8
-        )
-        grad = rng.integers(-128, 128, size=(positions, channels)).astype(
-            np.int8
-        )
-        reference = ReferenceBackend()
-        parallel = self._forced()
-        np.testing.assert_array_equal(
-            reference.int8_depthwise(cols, weight),
-            parallel.int8_depthwise(cols, weight),
-        )
-        np.testing.assert_array_equal(
-            reference.int8_depthwise_grad(grad, cols),
-            parallel.int8_depthwise_grad(grad, cols),
+        self._assert_parity(
+            _int8(rng, (positions, channels, kernel)),
+            _int8(rng, (channels, kernel)),
+            _int8(rng, (positions, channels)),
         )
 
     def test_depthwise_grad_beyond_exact_window(self):
         # More positions than one exact-float32 tile can hold: the partial
         # sums must chain through the int64 cross-tile reduction.
-        rng = np.random.default_rng(3)
-        positions = 2600  # > (2^24 - 1) // 128^2 rows per tile
+        positions = 2 * EXACT_GRAD_ROWS + 554
         cols = np.full((positions, 3, 9), -128, dtype=np.int8)
         cols[::7] = 127
         grad = np.full((positions, 3), -128, dtype=np.int8)
         grad[::3] = 127
-        del rng
-        ref = ReferenceBackend().int8_depthwise_grad(grad, cols)
-        par = self._forced().int8_depthwise_grad(grad, cols)
-        np.testing.assert_array_equal(ref, par)
-
-    @given(
-        hidden_layers=st.integers(1, 2),
-        hidden_units=st.integers(4, 40),
-        seed=st.integers(0, 2 ** 16),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_random_model_prediction_parity(
-        self, hidden_layers, hidden_units, seed
-    ):
-        rng = np.random.default_rng(seed)
-        inputs = rng.normal(size=(5, 64)).astype(np.float32)
-        overlay = LabelOverlay(num_classes=10, amplitude=1.0)
-        forced = self._forced()
-        matrices = {}
-        for backend in ("reference", forced):
-            bundle, units = _mlp_units(hidden_layers, hidden_units, seed=seed)
-            for index, unit in enumerate(units):
-                prepare_int8(unit, QuantConfig(), seed=seed + index)
-            classifier = FFGoodnessClassifier(
-                units, overlay, flatten_input=True, backend=backend
-            )
-            key = getattr(backend, "name", backend)
-            matrices[key] = classifier.goodness_matrix(inputs)
-        np.testing.assert_array_equal(
-            matrices["reference"], matrices["parallel"]
+        weight = np.full((3, 9), -128, dtype=np.int8)
+        self._assert_parity(cols, weight, grad)
+        # All -128: every tile sits at the top of the exact window.
+        cols[:] = -128
+        grad[:] = -128
+        self._assert_parity(cols, weight, grad)
+        assert FastBackend().int8_depthwise_grad(grad, cols)[0, 0] == (
+            positions * 128 * 128
         )
 
-    def test_single_worker_delegates_to_fast(self):
-        backend = ParallelBackend(num_workers=1)
-        rng = np.random.default_rng(0)
-        lhs = rng.integers(-128, 128, size=(64, 100)).astype(np.int8)
-        rhs = rng.integers(-128, 128, size=(100, 8)).astype(np.int8)
-        assert backend._tiles(lhs.shape[0]) is None
-        np.testing.assert_array_equal(
-            np.asarray(backend.int8_gemm(lhs, rhs), dtype=np.int64),
-            np.asarray(FastBackend().int8_gemm(lhs, rhs), dtype=np.int64),
-        )
+    def test_wide_operands_fall_back_to_integers(self):
+        rng = np.random.default_rng(4)
+        cols = rng.integers(-300, 300, size=(50, 4, 9)).astype(np.int16)
+        weight = rng.integers(-300, 300, size=(4, 9)).astype(np.int16)
+        grad = rng.integers(-300, 300, size=(50, 4)).astype(np.int16)
+        self._assert_parity(cols, weight, grad)
+
+    def test_zero_positions(self):
+        cols = np.zeros((0, 4, 9), dtype=np.int8)
+        weight = np.ones((4, 9), dtype=np.int8)
+        grad = np.zeros((0, 4), dtype=np.int8)
+        self._assert_parity(cols, weight, grad)
+        assert FastBackend().int8_depthwise(cols, weight).shape == (0, 4)
+        assert not FastBackend().int8_depthwise_grad(grad, cols).any()
 
 
 def _int8(rng, shape):
     return rng.integers(-128, 128, size=shape).astype(np.int8)
-
-
-class TestParallelPoolLifecycle:
-    def test_shutdown_is_idempotent_and_restartable(self):
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        first = np.asarray(backend.int8_gemm(lhs, rhs))
-        assert backend._pool is not None
-        backend.shutdown()
-        backend.shutdown()
-        assert backend._pool is None
-        np.testing.assert_array_equal(
-            np.asarray(backend.int8_gemm(lhs, rhs)), first
-        )
-        assert backend._pool is not None
-        backend.shutdown()
-
-    def test_context_manager_shuts_down(self):
-        rng = np.random.default_rng(0)
-        with ParallelBackend(num_workers=2, min_rows_per_tile=1) as backend:
-            backend.int8_gemm(_int8(rng, (64, 16)), _int8(rng, (16, 4)))
-            assert backend._pool is not None
-        assert backend._pool is None
-
-    def test_foreign_pool_is_discarded_not_joined(self):
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        want = np.asarray(backend.int8_gemm(lhs, rhs))
-        inherited = backend._pool
-        backend._pool_pid = backend._pool_pid - 1  # pretend we forked
-        got = np.asarray(backend.int8_gemm(lhs, rhs))
-        np.testing.assert_array_equal(got, want)
-        assert backend._pool is not inherited
-        inherited.shutdown(wait=True)
-        backend.shutdown()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-only test")
-    def test_real_fork_child_does_not_hang_on_inherited_pool(self):
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        rng = np.random.default_rng(0)
-        lhs, rhs = _int8(rng, (64, 16)), _int8(rng, (16, 4))
-        want = np.asarray(backend.int8_gemm(lhs, rhs))
-        assert backend._pool is not None  # the child will inherit this
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                signal.alarm(30)
-                got = np.asarray(backend.int8_gemm(lhs, rhs))
-                if np.array_equal(got, want):
-                    status = 0
-                backend.shutdown()
-            except BaseException:
-                pass
-            finally:
-                os._exit(status)
-        _, exit_status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(exit_status) == 0
-        backend.shutdown()

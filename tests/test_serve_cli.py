@@ -120,36 +120,6 @@ class TestServeBenchCommand:
         assert "WARNING" not in out
 
 
-class TestAutoPinCLI:
-    def test_serve_bench_pin_auto_resolves_every_layer(self, tmp_path,
-                                                       capsys):
-        artifact = tmp_path / "artifact"
-        main([
-            "export", "--model", "mlp-mini", "--epochs", "1",
-            "--train-samples", "48", "--test-samples", "24",
-            "--output", str(artifact),
-        ])
-        capsys.readouterr()
-        code = main([
-            "serve-bench", "--artifact", str(artifact), "--requests", "24",
-            "--test-samples", "24", "--pin", "auto",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "auto-pinned plan (measured winners)" in out
-        # Every GEMM-bearing step reports its resolved backend pin, and the
-        # batched answers still match the engine (bit-identity).
-        assert "pin=" in out
-        assert "WARNING" not in out
-
-    def test_pin_auto_rejects_mixed_specs(self):
-        with pytest.raises(SystemExit):
-            main([
-                "serve-bench", "--pin", "auto", "--pin", "gemm=fast",
-                "--requests", "1",
-            ])
-
-
 class _LabelEngine:
     """Stub engine: every prediction is its label (registry CLI tests)."""
 

@@ -364,50 +364,3 @@ class TestTrainedRoundTrip:
         assert artifact.goodness_name == "sum_squares"
         assert artifact.metadata["source"] == "ff_checkpoint"
         assert isinstance(artifact, InferenceArtifact)
-
-
-class TestEnginePoolLifecycle:
-    def test_close_shuts_down_plan_backends(self):
-        from repro.runtime.backends import ParallelBackend
-
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        try:
-            artifact = _export(_mlp_h2, "sum_squares")
-            engine = build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
-            )
-            engine.predict(_inputs((1, 14, 14), 40))
-            assert backend.pool_active
-            engine.close()
-            assert not backend.pool_active
-            engine.close()  # idempotent
-        finally:
-            backend.shutdown()
-
-    def test_context_manager_closes(self):
-        from repro.runtime.backends import ParallelBackend
-
-        backend = ParallelBackend(num_workers=2, min_rows_per_tile=1)
-        try:
-            artifact = _export(_mlp_h2, "sum_squares")
-            with build_engine(
-                artifact, _mlp_h2(seed=0), backend=backend
-            ) as engine:
-                engine.predict(_inputs((1, 14, 14), 40))
-                assert backend.pool_active
-            assert not backend.pool_active
-        finally:
-            backend.shutdown()
-
-    def test_apply_pins_auto_restages_and_stays_exact(self):
-        artifact = _export(_mlp_h2, "sum_squares")
-        inputs = _inputs((1, 14, 14), 32)
-        engine = build_engine(artifact, _mlp_h2(seed=0))
-        baseline = engine.predict(inputs)
-        engine.apply_pins("auto", batch_size=16)
-        assert all(
-            step.backend is not None
-            for step in engine.executor.plan.steps if step.kind == "gemm"
-        )
-        np.testing.assert_array_equal(engine.predict(inputs), baseline)
-        engine.close()

@@ -301,29 +301,6 @@ class TestMicroBatcher:
         assert snap["p95"] >= snap["p50"] >= 0.0
 
 
-class TestConfigPins:
-    def test_bare_callable_engine_rejects_pins(self):
-        config = ServeConfig(pins={"gemm": "fast"}, cache_capacity=0)
-        with pytest.raises(TypeError, match="apply_pins"):
-            MicroBatcher(_CountingModel(), config)
-
-    def test_config_pins_reach_the_engine_plan(self):
-        class _PinnableModel(_CountingModel):
-            def __init__(self):
-                super().__init__()
-                self.applied = None
-
-            def apply_pins(self, pins):
-                self.applied = pins
-                return self
-
-        model = _PinnableModel()
-        config = ServeConfig(pins={"gemm": "parallel"}, cache_capacity=0)
-        with MicroBatcher(model, config) as batcher:
-            batcher.predict(np.ones(4, dtype=np.float32))
-        assert model.applied == {"gemm": "parallel"}
-
-
 class TestAdaptiveWait:
     def test_config_validates_bounds(self):
         with pytest.raises(ValueError, match="min_wait_ms"):

@@ -1,10 +1,13 @@
 """Tests for optimizers, schedules, gradient transforms and the BP trainer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.models import build_mlp
 from repro.nn import Linear, Parameter, Sequential
+from repro.quant import QuantConfig
 from repro.training import (
     Adam,
     BPConfig,
@@ -202,6 +205,31 @@ class TestGradientTransforms:
         for transform in (DirectInt8Gradient(), UI8Gradient(), GDAI8Gradient()):
             out = transform("w", grad)
             np.testing.assert_array_equal(out, grad)
+
+    def test_int8_and_gdai8_outputs_match_golden_digest(self):
+        """Seeded outputs of both threshold quantizers, bit for bit.
+
+        Covers calibrating and calibrated static scales, gradients flushed
+        below the calibrated grid, and both rounding modes.
+        """
+        digest = hashlib.blake2b(digest_size=16)
+        rng = np.random.default_rng(2024)
+        transforms = [
+            DirectInt8Gradient(rng=1),
+            DirectInt8Gradient(QuantConfig(rounding="stochastic"), rng=2),
+            GDAI8Gradient(rng=3),
+            GDAI8Gradient(config=QuantConfig(rounding="nearest"), rng=4),
+        ]
+        for step in range(5):
+            for key, shape in (("w0", (16, 8)), ("w1", (33,))):
+                grad = (rng.standard_t(3, size=shape) * 10.0 ** -step).astype(
+                    np.float32
+                )
+                for transform in transforms:
+                    out = np.ascontiguousarray(transform(key, grad))
+                    digest.update(out.dtype.str.encode())
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == "46e82c43b05f45fdb1c6507eb9d6a538"
 
     def test_factory(self):
         assert isinstance(build_gradient_transform("fp32"), GradientTransform)
