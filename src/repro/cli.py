@@ -162,11 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of single-sample requests to serve")
     bench.add_argument("--max-batch-size", type=int, default=32)
     bench.add_argument("--max-wait-ms", type=float, default=5.0)
-    bench.add_argument("--autoscale-wait", action="store_true",
-                       help="adapt the coalescing window to queue-depth "
-                            "load, between --min-wait-ms and --max-wait-ms")
-    bench.add_argument("--min-wait-ms", type=float, default=0.0,
-                       help="lower bound of the adaptive coalescing window")
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--cache-size", type=int, default=0,
                        help="LRU prediction-cache capacity (0 disables; kept "
@@ -204,10 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     wire.add_argument("--extra-version", action="append", default=None,
                       metavar="VER",
                       help="--server: register the frozen artifact under "
-                           "this extra version label too (repeatable; "
-                           "identical params fingerprint-dedup to one "
-                           "shared engine — the hot-swap/canary target "
-                           "without training twice)")
+                           "this extra version label too (repeatable; the "
+                           "hot-swap/canary target without training "
+                           "twice)")
     wire.add_argument("--model-ref", default=None, metavar="NAME[@VER]",
                       help="--client: route requests to this registered "
                            "model (bare name follows the server's "
@@ -472,7 +466,6 @@ def _serve_bench_local(args, artifact, engine, test_set) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        autoscale_wait=args.autoscale_wait, min_wait_ms=args.min_wait_ms,
     )
     batcher = MicroBatcher(engine, config)
     with batcher:
@@ -515,10 +508,6 @@ def _serve_bench_local(args, artifact, engine, test_set) -> int:
           f"(mean batch size {snap['mean_batch_size']:.1f}, "
           f"{int(snap['batches'])} batches, "
           f"cache hit rate {cache_stats['hit_rate']:.1%})")
-    if args.autoscale_wait:
-        print(f"adaptive max_wait settled at {batcher.current_wait_ms:.2f} ms "
-              f"(bounds [{args.min_wait_ms:.2f}, {args.max_wait_ms:.2f}] ms, "
-              f"queue-depth EWMA {snap['queue_depth_ewma']:.1f})")
     if args.trace > 0:
         slowest = slowest_traces(args.trace)
         print(f"\n{len(slowest)} slowest request trace(s) "
@@ -546,9 +535,10 @@ def _serve_bench_server(args, artifact, model_version) -> int:
     """Serve the artifact over the wire behind the supervised front-end.
 
     The artifact is filed in a :class:`ModelRegistry` under
-    ``NAME@model_version`` (plus any ``--extra-version`` labels, which
-    fingerprint-dedup onto the same engine), so ``repro registry`` can
-    hot-swap and canary against the live server.
+    ``NAME@model_version`` (plus any ``--extra-version`` labels), so
+    ``repro registry`` can hot-swap and canary against the live server.
+    Each routed version gets its own replica set, whose engines the
+    front-end builds from the registry's ``engine_factory``.
     """
     def builder(frozen):
         return build_engine(frozen, backend=args.backend)
@@ -568,7 +558,6 @@ def _serve_bench_server(args, artifact, model_version) -> int:
         max_batch_size=args.max_batch_size, max_wait_ms=args.max_wait_ms,
         num_workers=args.workers, cache_capacity=args.cache_size,
         dedup_inflight=args.cache_size > 0, backend=args.backend,
-        autoscale_wait=args.autoscale_wait, min_wait_ms=args.min_wait_ms,
         default_deadline_ms=args.deadline_ms,
         max_queue_depth=args.max_queue_depth,
     )
@@ -596,7 +585,6 @@ def _serve_bench_server(args, artifact, model_version) -> int:
         return 0
     finally:
         frontend.close()
-        registry.close()
         snap = frontend.metrics.snapshot()
         print(f"served {int(snap['requests'])} request(s), "
               f"shed {int(snap['shed_requests'])}, "

@@ -3,8 +3,8 @@
 Every control loop the serving stack grows — queue-depth shedding, canary
 rollback, replica restarts — needs *live, scrapeable* signals, not
 post-hoc report tables.  The registry is that signal plane: named metrics
-that :class:`~repro.serve.metrics.ServeMetrics`, the micro-batcher's
-autoscalers and the replica supervisor all publish into,
+that :class:`~repro.serve.metrics.ServeMetrics`, the front-end, the
+replica supervisor and the canary controller all publish into,
 readable two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict, attached to

@@ -13,16 +13,18 @@ deployment path end to end:
   batches, fronted by a :class:`PredictionCache` and instrumented by
   :class:`ServeMetrics`,
 * :class:`ReplicaSupervisor` pools engine replicas (grouped into
-  per-model replica sets) with supervised restart-and-reroute, and
-  :class:`ServeFrontend` / :class:`FrontendClient` put the whole stack on
+  per-model replica sets) with supervised restart-and-reroute: it builds,
+  restarts and closes every served engine,
+* :class:`ServeFrontend` / :class:`FrontendClient` put the whole stack on
   a socket with explicit request outcomes (result, :class:`RequestShed`,
-  :class:`DeadlineExceeded`) — nothing drops silently,
-* :class:`ModelRegistry` names and versions artifacts
-  (``resnet18-mini@v2``, ``@latest``), dedups identical frozen params by
-  fingerprint, and hot-swaps the stable serving version atomically;
-  :class:`CanaryController` routes a deterministic traffic split to a
-  candidate version and auto-rolls-back on regression with capped
-  doubling hold-off,
+  :class:`DeadlineExceeded`) — nothing drops silently.  The front-end
+  alone owns admission: its ``max_queue_depth`` bound, the shed
+  ``retry_after_ms`` hint and the shed count,
+* :class:`ModelRegistry` is the routing table: it names and versions
+  artifacts (``resnet18-mini@v2``, ``@latest``) and hot-swaps the stable
+  serving version atomically; :class:`CanaryController` routes a
+  deterministic traffic split to a candidate version and auto-rolls-back
+  on an error-rate or latency regression with capped doubling hold-off,
 * :class:`ServeConfig` / :class:`FrontendConfig` carry the serving knobs,
 * :mod:`repro.serve.faults` injects deterministic failures for the
   robustness tests and the chaos smoke.

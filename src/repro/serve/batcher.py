@@ -14,11 +14,9 @@ original future — the cache can only help *after* the first answer lands),
 and feeds the metrics collector, so it is the one object a deployment
 interacts with.
 
-Both halves of serve autoscaling read the same queue-depth EWMA signal:
-``autoscale_wait`` adapts the coalescing window per batch, and
-``autoscale_workers`` spawns/retires worker threads between
-``min_workers`` and ``max_workers`` when the pressure is sustained
-(cooldown-limited, so one burst cannot thrash the pool).
+Admission is not the batcher's concern: the front-end bounds the requests
+it admits and answers sheds with the backoff hint.  The batcher refuses
+work only while draining, which is lifecycle, not load.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs import trace as obs_trace
-from repro.obs.registry import get_registry
 from repro.runtime.dispatch import use_backend
 from repro.serve.cache import PredictionCache, input_digest
 from repro.serve.config import ServeConfig
@@ -43,7 +40,6 @@ from repro.serve.metrics import ServeMetrics
 PredictFn = Callable[[np.ndarray], np.ndarray]
 
 _SHUTDOWN = object()
-_RETIRE = object()
 
 
 class _Request:
@@ -126,59 +122,30 @@ class MicroBatcher:
         # In-flight requests by input digest, for request coalescing.
         self._pending: dict = {}
         self._pending_lock = threading.Lock()
-        # Admission/drain state: how many accepted requests have not yet
-        # resolved (queued or mid-batch), and whether the batcher is
-        # draining (new submissions shed, in-flight ones finish).
+        # Drain state: how many accepted requests have not yet resolved
+        # (queued or mid-batch), and whether the batcher is draining (new
+        # submissions shed, in-flight ones finish).
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._draining = False
-        # Adaptive coalescing window (autoscale_wait); plain float writes
-        # are atomic, so workers update it lock-free.
-        self._current_wait_s = self.config.max_wait_s
-        # Worker autoscaling (autoscale_workers): sequence number for
-        # thread names, last scale-op timestamp for the cooldown, and a
-        # running log of scale events for reporting.
-        self._worker_seq = 0
-        self._last_scale_at = 0.0
-        self._scale_ups = 0
-        self._scale_downs = 0
-        # Autoscaling state published into the observability registry: the
-        # live worker count, the adaptive window, and scale events — the
-        # signals that show whether the EWMA policy is doing its job.
-        registry = get_registry()
-        self._obs_workers = registry.gauge(
-            "repro_serve_workers", help="Live serve worker threads.")
-        self._obs_wait_ms = registry.gauge(
-            "repro_serve_wait_window_ms",
-            help="Current adaptive coalescing window, ms.")
-        self._obs_scale_ups = registry.counter(
-            "repro_serve_scale_ups_total", help="Worker scale-up events.")
-        self._obs_scale_downs = registry.counter(
-            "repro_serve_scale_downs_total", help="Worker scale-down events.")
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _spawn_worker_locked(self) -> None:
-        """Create and start one worker thread (lifecycle lock held)."""
-        thread = threading.Thread(
-            target=self._worker_loop,
-            name=f"serve-worker-{self._worker_seq}",
-            daemon=True,
-        )
-        self._worker_seq += 1
-        self._threads.append(thread)
-        self._obs_workers.set(len(self._threads))
-        thread.start()
-
     def start(self) -> "MicroBatcher":
         """Spawn the worker threads (idempotent)."""
         with self._lifecycle_lock:
             if self._running:
                 return self
             self._running = True
-            for _ in range(self.config.num_workers):
-                self._spawn_worker_locked()
+            for index in range(self.config.num_workers):
+                thread = threading.Thread(
+                    target=self._worker_loop,
+                    name=f"serve-worker-{index}",
+                    daemon=True,
+                )
+                self._threads.append(thread)
+                thread.start()
         return self
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -212,8 +179,8 @@ class MicroBatcher:
         With ``drain=True`` intake closes first and the in-flight requests
         are flushed (bounded by ``drain_timeout``) before the workers are
         retired — the graceful half of the front-end's shutdown order.
-        Without it, queued requests simply survive for a later
-        :meth:`start` (the historical contract).
+        Without it, requests queued before the call are still served:
+        the shutdown tokens queue behind them.
         """
         if drain:
             self.drain(timeout=drain_timeout)
@@ -223,24 +190,12 @@ class MicroBatcher:
                 return
             self._running = False
             threads, self._threads = self._threads, []
-            self._obs_workers.set(0)
+        # One token per worker; each worker exits on the first token it
+        # consumes, so none is left behind for a later start().
         for _ in threads:
             self._queue.put(_SHUTDOWN)
         for thread in threads:
             thread.join()
-        # Swallow leftover lifecycle tokens (a retire enqueued just before
-        # stop, or a shutdown token a retiring worker never consumed) so a
-        # later start() begins with a clean queue.
-        drained = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN and item is not _RETIRE:
-                drained.append(item)
-        for item in drained:
-            self._queue.put(item)
         # A drained batcher reopens intake once fully stopped, so a later
         # start() serves again.
         self._draining = False
@@ -261,9 +216,8 @@ class MicroBatcher:
         ``deadline_s`` is an absolute ``time.perf_counter()`` instant; a
         request still unserved when it passes resolves to
         :class:`DeadlineExceeded` instead of silently occupying the queue.
-        Raises :class:`RequestShed` when admission control refuses the
-        request (intake queue at ``max_queue_depth``, or draining) — the
-        exception carries the adaptive ``retry_after_ms`` backoff hint.
+        Raises :class:`RequestShed` (reason ``"draining"``) while a drain
+        has intake closed.
 
         When tracing is enabled and this request is sampled, its whole life
         — cache/dedup verdicts here, the coalesce wait, the engine pass and
@@ -271,19 +225,6 @@ class MicroBatcher:
         ``trace is None`` branches cost one comparison each.
         """
         return self._submit(sample, deadline_s)[0]
-
-    def retry_after_ms(self) -> float:
-        """The adaptive backoff hint attached to shed responses."""
-        config = self.config
-        return self.metrics.retry_after_ms(
-            base_ms=getattr(config, "shed_retry_base_ms", 5.0),
-            per_depth_ms=getattr(config, "shed_retry_per_depth_ms", 2.0),
-            cap_ms=getattr(config, "shed_retry_cap_ms", 1000.0),
-        )
-
-    def _shed(self, reason: str) -> RequestShed:
-        self.metrics.record_shed()
-        return RequestShed(self.retry_after_ms(), reason=reason)
 
     def _submit(
         self, sample: np.ndarray, deadline_s: Optional[float] = None
@@ -298,13 +239,7 @@ class MicroBatcher:
         if not self._running:
             self.start()
         if self._draining:
-            raise self._shed("draining")
-        max_depth = int(getattr(self.config, "max_queue_depth", 0) or 0)
-        if max_depth > 0:
-            with self._inflight_lock:
-                saturated = self._inflight >= max_depth
-            if saturated:
-                raise self._shed("queue_full")
+            raise RequestShed(reason="draining")
         trace = obs_trace.maybe_trace("serve.request")
         sample = np.asarray(sample, dtype=np.float32)
         key: Optional[str] = None
@@ -440,155 +375,25 @@ class MicroBatcher:
         """True while intake is closed for a graceful drain."""
         return self._draining
 
-    @property
-    def current_wait_ms(self) -> float:
-        """The coalescing window workers currently apply (milliseconds)."""
-        return 1000.0 * self._current_wait_s
-
-    @property
-    def current_num_workers(self) -> int:
-        """How many serve workers are live right now."""
-        with self._lifecycle_lock:
-            return len(self._threads)
-
-    @property
-    def autoscale_events(self) -> dict:
-        """Worker scale operations performed so far (``up``/``down``)."""
-        return {"up": self._scale_ups, "down": self._scale_downs}
-
     def format_report(self, title: str = "serving metrics") -> str:
-        """Metrics report including the cache hit-rate and autoscale state."""
-        extra_rows = []
-        if getattr(self.config, "autoscale_wait", False):
-            extra_rows.append(["adaptive max_wait (ms)", self.current_wait_ms])
-        if getattr(self.config, "autoscale_workers", False):
-            extra_rows.append(["workers (current)", self.current_num_workers])
-            extra_rows.append(["worker scale-ups", self._scale_ups])
-            extra_rows.append(["worker scale-downs", self._scale_downs])
-        return self.metrics.format_report(
-            title, cache_stats=self.cache.stats(),
-            extra_rows=extra_rows or None,
-        )
+        """Metrics report including the cache hit-rate."""
+        return self.metrics.format_report(title, cache_stats=self.cache.stats())
 
     # ------------------------------------------------------------------ #
     # worker internals
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
-        # Workers exit only by consuming a shutdown or retire token.  An
-        # early-exit on the idle-poll path would leave its token in the
-        # queue, where it would instantly kill a worker of a later start().
+        # Workers exit only by consuming a shutdown token.
         while True:
-            try:
-                first = self._queue.get(timeout=self.config.poll_timeout_s)
-            except queue.Empty:
-                # Idle polls decay the queue-depth EWMA toward the live
-                # depth (no enqueues means nothing else updates it) and
-                # then evaluate autoscaling, so a pool scaled up for a
-                # burst drains back to min_workers afterwards.
-                if getattr(self.config, "autoscale_workers", False):
-                    self.metrics.observe_queue_depth(self._queue.qsize())
-                self._maybe_autoscale()
-                continue
+            first = self._queue.get()
             if first is _SHUTDOWN:
                 return
-            if first is _RETIRE:
-                if self._retire_self():
-                    return
-                continue
-            batch = self._gather_batch(first)
-            self._serve_batch(batch)
-            self._maybe_autoscale()
-
-    def _retire_self(self) -> bool:
-        """Consume a retire token; True when this worker should exit.
-
-        Stale tokens (left over from before a stop/start cycle, or racing a
-        concurrent retire that already brought the count to the floor) are
-        swallowed instead of underflowing ``min_workers``.
-        """
-        with self._lifecycle_lock:
-            if (
-                self._running
-                and len(self._threads) > self.config.min_workers
-            ):
-                current = threading.current_thread()
-                if current in self._threads:
-                    self._threads.remove(current)
-                    # Counted here, at consumption: tokens swallowed at the
-                    # floor must not show up as scale-downs in the report.
-                    self._scale_downs += 1
-                    self._obs_scale_downs.inc()
-                    self._obs_workers.set(len(self._threads))
-                    return True
-        return False
-
-    def _maybe_autoscale(self) -> None:
-        """Spawn or retire one worker when queue pressure is sustained.
-
-        The queue-depth EWMA is the same signal the adaptive coalescing
-        window uses: above ``max_batch_size`` a full batch is always
-        waiting, so one more worker drains real backlog; below a quarter
-        of it the extra worker only adds contention.  The cooldown keeps
-        reactions to *sustained* pressure — one burst cannot thrash the
-        pool.
-        """
-        config = self.config
-        if not getattr(config, "autoscale_workers", False):
-            return
-        ewma = self.metrics.queue_depth_ewma()
-        with self._lifecycle_lock:
-            # Cooldown, decision and the event log all live under the one
-            # lock: two workers crossing the threshold together must not
-            # both stamp a scale event for a single pool change.
-            now = time.perf_counter()
-            if now - self._last_scale_at < config.autoscale_cooldown_s:
-                return
-            if not self._running:
-                return
-            count = len(self._threads)
-            if (
-                ewma > config.max_batch_size
-                and count < config.max_workers
-                # Live-queue gate: sustained *history* alone must not grow
-                # an idle pool — there has to be backlog right now for a
-                # new worker to drain.
-                and self._queue.qsize() > 0
-            ):
-                self._spawn_worker_locked()
-                self._scale_ups += 1
-                self._obs_scale_ups.inc()
-                self._last_scale_at = now
-                return
-            if (
-                ewma < 0.25 * config.max_batch_size
-                and count > config.min_workers
-            ):
-                self._last_scale_at = now
-                self._queue.put(_RETIRE)
-
-    def _wait_window_s(self) -> float:
-        """The coalescing window for the next batch (adaptive when enabled).
-
-        Queue-depth EWMA near ``max_batch_size`` means batches fill from the
-        backlog on their own, so waiting only adds latency — the window
-        shrinks toward ``min_wait_ms``.  An idle queue earns the full
-        ``max_wait_ms`` to coalesce stragglers.
-        """
-        config = self.config
-        if not getattr(config, "autoscale_wait", False):
-            return config.max_wait_s
-        fill = min(1.0, self.metrics.queue_depth_ewma() / config.max_batch_size)
-        wait = config.max_wait_s - (config.max_wait_s - config.min_wait_s) * fill
-        # Clamp: the interpolation can land an ulp outside the bounds.
-        wait = min(max(wait, config.min_wait_s), config.max_wait_s)
-        self._current_wait_s = wait
-        self._obs_wait_ms.set(1000.0 * wait)
-        return wait
+            self._serve_batch(self._gather_batch(first))
 
     def _gather_batch(self, first: _Request) -> List[_Request]:
         """Collect up to ``max_batch_size`` requests within the wait window."""
         batch = [first]
-        deadline = time.perf_counter() + self._wait_window_s()
+        deadline = time.perf_counter() + self.config.max_wait_s
         while len(batch) < self.config.max_batch_size:
             remaining = deadline - time.perf_counter()
             try:
@@ -598,8 +403,8 @@ class MicroBatcher:
                     item = self._queue.get(timeout=remaining)
             except queue.Empty:
                 break
-            if item is _SHUTDOWN or item is _RETIRE:
-                # Keep the lifecycle token available for another worker (or
+            if item is _SHUTDOWN:
+                # Keep the shutdown token available for another worker (or
                 # this one's next loop turn) and serve what we gathered.
                 self._queue.put(item)
                 break

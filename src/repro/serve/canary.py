@@ -3,13 +3,12 @@
 A swap is all-or-nothing; a *canary* is how you earn the right to swap.
 The :class:`CanaryController` routes a seeded deterministic fraction of a
 model's traffic to a candidate version (via the registry's routing
-snapshot), accumulates per-version sliding windows of latency, error and
-goodness-margin observations, and compares candidate against stable once
-both windows have enough samples:
+snapshot), accumulates per-version sliding windows of latency and error
+observations, and compares candidate against stable once both windows have
+enough samples:
 
 * error rate above stable by more than ``error_margin``     → regression
 * mean latency above ``latency_ratio`` × stable's (floored) → regression
-* mean goodness margin below ``margin_ratio`` × stable's    → regression
 
 A regression triggers an automatic **rollback**: the canary split is
 cleared atomically (new requests all land on stable again) and the model
@@ -43,18 +42,15 @@ class CanaryHeldOff(ServeError):
 
 
 class _Window:
-    """Sliding window of (ok, latency_ms, margin) observations."""
+    """Sliding window of (ok, latency_ms) observations."""
 
     __slots__ = ("entries",)
 
     def __init__(self, size: int) -> None:
-        self.entries: Deque[Tuple[bool, float, Optional[float]]] = deque(
-            maxlen=size
-        )
+        self.entries: Deque[Tuple[bool, float]] = deque(maxlen=size)
 
-    def add(self, ok: bool, latency_ms: float,
-            margin: Optional[float]) -> None:
-        self.entries.append((bool(ok), float(latency_ms), margin))
+    def add(self, ok: bool, latency_ms: float) -> None:
+        self.entries.append((bool(ok), float(latency_ms)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,18 +58,12 @@ class _Window:
     def error_rate(self) -> float:
         if not self.entries:
             return 0.0
-        return sum(1 for ok, _, _ in self.entries if not ok) / len(self)
+        return sum(1 for ok, _ in self.entries if not ok) / len(self)
 
     def mean_latency_ms(self) -> float:
         if not self.entries:
             return 0.0
-        return sum(lat for _, lat, _ in self.entries) / len(self)
-
-    def mean_margin(self) -> Optional[float]:
-        margins = [m for _, _, m in self.entries if m is not None]
-        if not margins:
-            return None
-        return sum(margins) / len(margins)
+        return sum(lat for _, lat in self.entries) / len(self)
 
 
 class _Holdoff:
@@ -90,6 +80,9 @@ class _Holdoff:
 class CanaryController:
     """Drives canary rollouts over a :class:`ModelRegistry`.
 
+    Two verdicts, error rate and latency, both over the outcomes the
+    front-end feeds :meth:`observe` for each routed version.
+
     Parameters
     ----------
     registry:
@@ -105,9 +98,6 @@ class CanaryController:
         keeps microsecond-fast stables from flagging harmless noise.
     error_margin:
         Absolute error-rate headroom over stable before rollback.
-    margin_ratio:
-        Minimum candidate goodness-margin as a fraction of stable's
-        (only enforced when both sides report margins).
     holdoff_base_s / holdoff_max_s:
         Capped doubling hold-off between failed promotions.
     on_rollback / on_promote:
@@ -125,7 +115,6 @@ class CanaryController:
         latency_ratio: float = 1.5,
         latency_floor_ms: float = 1.0,
         error_margin: float = 0.05,
-        margin_ratio: float = 0.5,
         holdoff_base_s: float = 0.5,
         holdoff_max_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
@@ -144,7 +133,6 @@ class CanaryController:
         self.latency_ratio = float(latency_ratio)
         self.latency_floor_ms = float(latency_floor_ms)
         self.error_margin = float(error_margin)
-        self.margin_ratio = float(margin_ratio)
         self.holdoff_base_s = float(holdoff_base_s)
         self.holdoff_max_s = float(holdoff_max_s)
         self.clock = clock
@@ -160,7 +148,6 @@ class CanaryController:
             "repro_canary_rollbacks_total",
             help="Canary candidates rolled back on regression.")
         self._obs_fraction_for: "Dict[str, object]" = {}
-        registry.attach_controller(self)
 
     # ------------------------------------------------------------------ #
     def _fraction_gauge(self, name: str):
@@ -220,12 +207,10 @@ class CanaryController:
     # observation + verdict
     # ------------------------------------------------------------------ #
     def observe(self, name: str, version: str, latency_ms: float,
-                ok: bool = True, margin: Optional[float] = None) -> None:
+                ok: bool = True) -> None:
         """Feed one request outcome; evaluates the live canary, if any."""
         with self._lock:
-            self._window_for_locked(name, version).add(
-                ok, latency_ms, margin
-            )
+            self._window_for_locked(name, version).add(ok, latency_ms)
         canary = self.registry.canary_of(name)
         if canary is None:
             return
@@ -249,7 +234,6 @@ class CanaryController:
             cand_err, base_err = cand.error_rate(), base.error_rate()
             cand_lat, base_lat = (cand.mean_latency_ms(),
                                   base.mean_latency_ms())
-            cand_margin, base_margin = cand.mean_margin(), base.mean_margin()
         if cand_err > base_err + self.error_margin:
             return (f"error rate {cand_err:.3f} exceeds stable "
                     f"{base_err:.3f} + {self.error_margin}")
@@ -257,11 +241,6 @@ class CanaryController:
         if cand_lat > self.latency_ratio * floor:
             return (f"latency {cand_lat:.3f}ms exceeds "
                     f"{self.latency_ratio}x stable {base_lat:.3f}ms")
-        if (cand_margin is not None and base_margin is not None
-                and base_margin > 0
-                and cand_margin < self.margin_ratio * base_margin):
-            return (f"goodness margin {cand_margin:.4f} below "
-                    f"{self.margin_ratio}x stable {base_margin:.4f}")
         return None
 
     # ------------------------------------------------------------------ #

@@ -1,15 +1,15 @@
 """Serving configuration.
 
 Unlike the training-side dataclass configs, :class:`ServeConfig` follows the
-Hugging Face ``PretrainedConfig`` idiom (explicit keyword arguments stored on
-``self``, derived fields computed in ``__init__``, unknown keyword arguments
-tolerated) so that serving deployments can carry extra, deployment-specific
-settings without the library having to know about them.
+Hugging Face ``PretrainedConfig`` idiom: explicit keyword arguments stored on
+``self`` and derived fields computed in ``__init__``.  An unknown keyword
+raises :class:`TypeError`, so a misspelled or removed field fails at
+construction instead of being silently ignored.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.runtime.backends import Backend, get_backend
 
@@ -34,40 +34,12 @@ class ServeConfig:
         executing: they share the original request's future instead of being
         re-batched.  Complements the cache, which only helps after the first
         answer lands.
-    poll_timeout_ms:
-        Idle workers re-check the shutdown flag at this interval.
     request_timeout_s:
         Default timeout when synchronously waiting for a prediction.
     backend:
         Runtime kernel backend for the engine (``"reference"``/``"fast"``);
         ``None`` defers to the ambient :mod:`repro.runtime`
         selection (``REPRO_BACKEND`` or the process default).
-    autoscale_wait / min_wait_ms:
-        When ``autoscale_wait`` is true the micro-batcher adapts its
-        coalescing window to the queue-depth EWMA, between ``min_wait_ms``
-        and ``max_wait_ms``: a deep backlog fills batches by itself (waiting
-        only adds latency), an idle queue earns the full window.
-    autoscale_workers / min_workers / max_workers / autoscale_cooldown_ms:
-        When ``autoscale_workers`` is true the micro-batcher spawns and
-        retires serve workers on sustained queue-depth EWMA pressure: an
-        EWMA above ``max_batch_size`` (a full batch always waiting) adds a
-        worker up to ``max_workers``; an EWMA below a quarter of
-        ``max_batch_size`` retires one down to ``min_workers``.
-        ``num_workers`` stays the starting count, and scale operations are
-        at least ``autoscale_cooldown_ms`` apart so the EWMA signal is
-        sustained pressure, not one burst.
-    max_queue_depth:
-        Admission-control bound on accepted-but-unresolved requests.  At
-        the bound, ``submit`` sheds (raises
-        :class:`~repro.serve.errors.RequestShed` with an adaptive
-        ``retry_after_ms`` hint) instead of queueing — deterministic
-        degradation for the shed request rather than creeping latency for
-        everyone.  ``0`` (the default) disables admission control.
-    shed_retry_base_ms / shed_retry_per_depth_ms / shed_retry_cap_ms:
-        The shed backoff hint: ``base + per_depth * queue_depth_EWMA``
-        capped at ``cap`` — an idle service hands back the base, a
-        saturated one approaches the cap, so well-behaved clients back off
-        in proportion to the real backlog.
     """
 
     config_type = "serve"
@@ -79,36 +51,17 @@ class ServeConfig:
         num_workers: int = 1,
         cache_capacity: int = 256,
         dedup_inflight: bool = True,
-        poll_timeout_ms: float = 20.0,
         request_timeout_s: float = 30.0,
         backend: Any = None,
-        autoscale_wait: bool = False,
-        min_wait_ms: float = 0.0,
-        autoscale_workers: bool = False,
-        min_workers: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        autoscale_cooldown_ms: float = 250.0,
-        max_queue_depth: int = 0,
-        shed_retry_base_ms: float = 5.0,
-        shed_retry_per_depth_ms: float = 2.0,
-        shed_retry_cap_ms: float = 1000.0,
-        **kwargs: Any,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if min_wait_ms < 0 or min_wait_ms > max_wait_ms:
-            raise ValueError(
-                f"min_wait_ms must be in [0, max_wait_ms={max_wait_ms}], "
-                f"got {min_wait_ms}"
-            )
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if cache_capacity < 0:
             raise ValueError(f"cache_capacity must be >= 0, got {cache_capacity}")
-        if poll_timeout_ms <= 0:
-            raise ValueError(f"poll_timeout_ms must be > 0, got {poll_timeout_ms}")
         if request_timeout_s <= 0:
             raise ValueError(f"request_timeout_s must be > 0, got {request_timeout_s}")
 
@@ -117,88 +70,26 @@ class ServeConfig:
         self.num_workers = int(num_workers)
         self.cache_capacity = int(cache_capacity)
         self.dedup_inflight = bool(dedup_inflight)
-        self.poll_timeout_ms = float(poll_timeout_ms)
         self.request_timeout_s = float(request_timeout_s)
         if backend is not None and not isinstance(backend, Backend):
             get_backend(backend)  # fail at construction, not in a worker
         self.backend = backend
-        self.autoscale_wait = bool(autoscale_wait)
-        self.min_wait_ms = float(min_wait_ms)
 
-        self.autoscale_workers = bool(autoscale_workers)
-        self.min_workers = (
-            1 if min_workers is None else int(min_workers)
-        )
-        self.max_workers = (
-            max(4, self.num_workers) if max_workers is None else int(max_workers)
-        )
-        if autoscale_cooldown_ms < 0:
-            raise ValueError(
-                f"autoscale_cooldown_ms must be >= 0, got {autoscale_cooldown_ms}"
-            )
-        self.autoscale_cooldown_ms = float(autoscale_cooldown_ms)
-        if max_queue_depth < 0:
-            raise ValueError(
-                f"max_queue_depth must be >= 0 (0 disables admission "
-                f"control), got {max_queue_depth}"
-            )
-        if shed_retry_base_ms < 0 or shed_retry_per_depth_ms < 0:
-            raise ValueError("shed retry hints must be >= 0")
-        if shed_retry_cap_ms < shed_retry_base_ms:
-            raise ValueError(
-                f"shed_retry_cap_ms ({shed_retry_cap_ms}) must be >= "
-                f"shed_retry_base_ms ({shed_retry_base_ms})"
-            )
-        self.max_queue_depth = int(max_queue_depth)
-        self.shed_retry_base_ms = float(shed_retry_base_ms)
-        self.shed_retry_per_depth_ms = float(shed_retry_per_depth_ms)
-        self.shed_retry_cap_ms = float(shed_retry_cap_ms)
-        if self.autoscale_workers and not (
-            1 <= self.min_workers <= self.num_workers <= self.max_workers
-        ):
-            raise ValueError(
-                "autoscale_workers requires 1 <= min_workers <= num_workers "
-                f"<= max_workers, got min={self.min_workers} "
-                f"start={self.num_workers} max={self.max_workers}"
-            )
-
-        # Derived fields used by the hot path (seconds, not milliseconds).
+        # Derived field used by the hot path (seconds, not milliseconds).
         self.max_wait_s = self.max_wait_ms / 1000.0
-        self.min_wait_s = self.min_wait_ms / 1000.0
-        self.poll_timeout_s = self.poll_timeout_ms / 1000.0
-        self.autoscale_cooldown_s = self.autoscale_cooldown_ms / 1000.0
-
-        # Deployment-specific extras ride along untouched.
-        for key, value in kwargs.items():
-            setattr(self, key, value)
-        self._extra_keys = tuple(kwargs)
 
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serializable view of the configuration."""
-        payload = {
+        return {
             "max_batch_size": self.max_batch_size,
             "max_wait_ms": self.max_wait_ms,
             "num_workers": self.num_workers,
             "cache_capacity": self.cache_capacity,
             "dedup_inflight": self.dedup_inflight,
-            "poll_timeout_ms": self.poll_timeout_ms,
             "request_timeout_s": self.request_timeout_s,
             "backend": getattr(self.backend, "name", self.backend),
-            "autoscale_wait": self.autoscale_wait,
-            "min_wait_ms": self.min_wait_ms,
-            "autoscale_workers": self.autoscale_workers,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "autoscale_cooldown_ms": self.autoscale_cooldown_ms,
-            "max_queue_depth": self.max_queue_depth,
-            "shed_retry_base_ms": self.shed_retry_base_ms,
-            "shed_retry_per_depth_ms": self.shed_retry_per_depth_ms,
-            "shed_retry_cap_ms": self.shed_retry_cap_ms,
         }
-        for key in self._extra_keys:
-            payload[key] = getattr(self, key)
-        return payload
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{key}={value!r}" for key, value in self.as_dict().items())
@@ -234,9 +125,16 @@ class FrontendConfig(ServeConfig):
         Bound on the graceful-drain phase of shutdown (stop intake, flush
         in-flight batches) before engines are closed regardless.
     max_queue_depth:
-        Inherited admission bound, but the front-end default is finite
-        (128) — a network service must shed deterministically, never queue
-        without bound.
+        The one admission bound of the serving path: wire requests admitted
+        but not yet answered.  At the bound the front-end sheds (a ``shed``
+        response with a ``retry_after_ms`` hint) instead of queueing —
+        deterministic degradation for the shed request rather than creeping
+        latency for everyone.
+    shed_retry_base_ms / shed_retry_per_depth_ms / shed_retry_cap_ms:
+        The shed backoff hint: ``base + per_depth * queue_depth_EWMA``
+        capped at ``cap`` — an idle service hands back the base, a
+        saturated one approaches the cap, so well-behaved clients back off
+        in proportion to the real backlog.
     """
 
     config_type = "frontend"
@@ -252,8 +150,12 @@ class FrontendConfig(ServeConfig):
         health_interval_ms: float = 25.0,
         drain_timeout_s: float = 10.0,
         max_queue_depth: int = 128,
+        shed_retry_base_ms: float = 5.0,
+        shed_retry_per_depth_ms: float = 2.0,
+        shed_retry_cap_ms: float = 1000.0,
         **kwargs: Any,
     ) -> None:
+        super().__init__(**kwargs)
         if not 0 <= int(port) <= 65535:
             raise ValueError(
                 f"port must be in [0, 65535] (0 binds ephemeral), got {port}"
@@ -278,7 +180,17 @@ class FrontendConfig(ServeConfig):
             raise ValueError(
                 f"drain_timeout_s must be >= 0, got {drain_timeout_s}"
             )
-        super().__init__(max_queue_depth=max_queue_depth, **kwargs)
+        if max_queue_depth < 1:
+            raise ValueError(
+                f"max_queue_depth must be >= 1, got {max_queue_depth}"
+            )
+        if shed_retry_base_ms < 0 or shed_retry_per_depth_ms < 0:
+            raise ValueError("shed retry hints must be >= 0")
+        if shed_retry_cap_ms < shed_retry_base_ms:
+            raise ValueError(
+                f"shed_retry_cap_ms ({shed_retry_cap_ms}) must be >= "
+                f"shed_retry_base_ms ({shed_retry_base_ms})"
+            )
         self.host = str(host)
         self.port = int(port)
         self.num_replicas = int(num_replicas)
@@ -287,6 +199,10 @@ class FrontendConfig(ServeConfig):
         self.restart_backoff_max_ms = float(restart_backoff_max_ms)
         self.health_interval_ms = float(health_interval_ms)
         self.drain_timeout_s = float(drain_timeout_s)
+        self.max_queue_depth = int(max_queue_depth)
+        self.shed_retry_base_ms = float(shed_retry_base_ms)
+        self.shed_retry_per_depth_ms = float(shed_retry_per_depth_ms)
+        self.shed_retry_cap_ms = float(shed_retry_cap_ms)
         # Derived (seconds) for the supervision hot loops.
         self.restart_backoff_s = self.restart_backoff_ms / 1000.0
         self.restart_backoff_max_s = self.restart_backoff_max_ms / 1000.0
@@ -304,5 +220,9 @@ class FrontendConfig(ServeConfig):
             "restart_backoff_max_ms": self.restart_backoff_max_ms,
             "health_interval_ms": self.health_interval_ms,
             "drain_timeout_s": self.drain_timeout_s,
+            "max_queue_depth": self.max_queue_depth,
+            "shed_retry_base_ms": self.shed_retry_base_ms,
+            "shed_retry_per_depth_ms": self.shed_retry_per_depth_ms,
+            "shed_retry_cap_ms": self.shed_retry_cap_ms,
         })
         return payload

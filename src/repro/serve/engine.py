@@ -389,33 +389,14 @@ class Int8InferenceEngine:
         """Predicted label for a single sample (no batch dimension)."""
         return int(self.predict(np.asarray(sample)[None])[0])
 
-    def predict_with_margin(
-        self, inputs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Labels plus per-sample goodness margin (top-1 minus top-2).
-
-        One :meth:`goodness_matrix` traversal answers both; the margin is
-        the confidence series the canary controller compares per version
-        (a candidate whose margins collapse is regressing even when its
-        argmax labels still agree).
-        """
-        matrix = np.asarray(self.goodness_matrix(inputs))
-        labels = np.argmax(matrix, axis=1)
-        if matrix.shape[1] < 2:
-            margins = matrix[:, 0].astype(np.float64)
-        else:
-            top2 = np.partition(matrix, -2, axis=1)[:, -2:]
-            margins = (top2[:, 1] - top2[:, 0]).astype(np.float64)
-        return labels, margins
-
     @property
     def cache_namespace(self) -> str:
         """Namespace for shared prediction-cache keys: the units digest.
 
         Two engines share cached predictions exactly when their frozen
         params are identical — so a post-swap engine can never serve
-        another version's cached outputs, while fingerprint-deduped
-        versions still share entries.
+        another version's cached outputs, while versions registered with
+        identical params still share entries.
         """
         return self._units_fp
 

@@ -25,10 +25,12 @@ class ServeError(RuntimeError):
 class RequestShed(ServeError):
     """The service refused admission (queue saturated, draining, no replica).
 
-    ``retry_after_ms`` is the server's adaptive backoff hint, derived from
-    the intake queue-depth EWMA: the deeper the sustained backlog, the
+    ``retry_after_ms`` is the front-end's adaptive backoff hint, derived
+    from the intake queue-depth EWMA: the deeper the sustained backlog, the
     longer well-behaved clients are told to wait — the DCF-style
-    contention-window idea, with the server publishing the window.
+    contention-window idea, with the server publishing the window.  A
+    draining batcher's in-process refusal carries no hint (0); the
+    front-end attaches one when it answers the shed.
     ``reason`` distinguishes *why* admission failed (``"queue_full"``,
     ``"draining"``, ``"no_replica"``) so shed accounting can be sliced.
     """

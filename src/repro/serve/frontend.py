@@ -459,17 +459,21 @@ class ServeFrontend:
             except ConnectionError:
                 pass
 
-    def _shed_header(self, request_id: Any, reason: str,
-                     retry_after_ms: Optional[float] = None) -> Dict[str, Any]:
-        if retry_after_ms is None:
-            config = self.config
-            retry_after_ms = self.metrics.retry_after_ms(
-                base_ms=config.shed_retry_base_ms,
-                per_depth_ms=config.shed_retry_per_depth_ms,
-                cap_ms=config.shed_retry_cap_ms,
-            )
+    def _shed_header(self, request_id: Any, reason: str) -> Dict[str, Any]:
+        """Count one shed and answer it with the backoff hint.
+
+        Every shed of the serving path ends here, so each is counted once
+        and carries the hint from this front-end's ``shed_retry_*`` knobs.
+        """
+        self.metrics.record_shed()
+        config = self.config
+        retry_after_ms = self.metrics.retry_after_ms(
+            base_ms=config.shed_retry_base_ms,
+            per_depth_ms=config.shed_retry_per_depth_ms,
+            cap_ms=config.shed_retry_cap_ms,
+        )
         return {"id": request_id, "status": "shed", "reason": reason,
-                "retry_after_ms": float(retry_after_ms)}
+                "retry_after_ms": retry_after_ms}
 
     async def _serve_request(
         self,
@@ -589,7 +593,6 @@ class ServeFrontend:
     ) -> None:
         # --- admission control -------------------------------------- #
         if self._draining:
-            self.metrics.record_shed()
             await self._respond(writer, write_lock,
                                 self._shed_header(request_id, "draining"))
             return
@@ -600,7 +603,6 @@ class ServeFrontend:
                 admitted = True
                 depth = self._inflight
         if not admitted:
-            self.metrics.record_shed()
             await self._respond(writer, write_lock,
                                 self._shed_header(request_id, "queue_full"))
             return
@@ -647,7 +649,6 @@ class ServeFrontend:
             if not self.supervisor.has_model(model_key):
                 # Raced a retire (the set is gone but a stale pin or a
                 # just-rolled-back canary asked for it): shed explicitly.
-                self.metrics.record_shed()
                 return self._shed_header(None, "no_replica")
         elif model_ref:
             return {"status": "error",
@@ -690,12 +691,9 @@ class ServeFrontend:
         deadline_ms: float,
         deadline_s: float,
     ) -> Dict[str, Any]:
-        try:
-            future = self.supervisor.submit(
-                sample, deadline_s=deadline_s, model=model_key
-            )
-        except RequestShed as shed:
-            return self._shed_header(None, shed.reason, shed.retry_after_ms)
+        future = self.supervisor.submit(
+            sample, deadline_s=deadline_s, model=model_key
+        )
         try:
             remaining = max(0.0, deadline_s - time.perf_counter())
             label = await asyncio.wait_for(
@@ -713,9 +711,9 @@ class ServeFrontend:
             return {"status": "deadline_exceeded",
                     "deadline_ms": deadline_ms}
         except RequestShed as shed:
-            return self._shed_header(None, shed.reason, shed.retry_after_ms)
+            # A replica draining under a swap or shutdown.
+            return self._shed_header(None, shed.reason)
         except ReplicaUnavailable:
-            self.metrics.record_shed()
             return self._shed_header(None, "no_replica")
         except asyncio.CancelledError:
             # Drain cancelled the connection task mid-predict: still an

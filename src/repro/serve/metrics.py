@@ -107,9 +107,8 @@ class ModelSeries:
     One memoized triple per (model, version): a request counter, an error
     counter and a latency histogram, all labeled ``{model=..., version=
     ...}`` — the per-version comparison feed the canary controller and the
-    ``serve-bench`` records read.  Shared by :class:`ServeMetrics` (the
-    frontend path) and :class:`~repro.serve.registry.ModelRegistry` (the
-    in-process path).
+    ``serve-bench`` records read.  :class:`ServeMetrics` owns one and the
+    front-end feeds it every version-attributed outcome.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -153,9 +152,8 @@ class ServeMetrics:
     """Thread-safe collector for the micro-batching inference service.
 
     ``ewma_alpha`` weights the exponentially-weighted moving average of the
-    sampled queue depths — the load signal the micro-batcher's adaptive
-    coalescing window feeds on (higher alpha reacts faster, lower alpha
-    smooths bursts).  ``sample_cap`` bounds the latency/batch/queue
+    sampled queue depths — the load signal the front-end's shed backoff
+    hint reads (higher alpha reacts faster, lower alpha smooths bursts).  ``sample_cap`` bounds the latency/batch/queue
     reservoirs (memory stays O(cap) forever; percentiles are exact below
     the cap and uniformly sampled above it).  ``registry`` is the
     observability registry the collector publishes counters into; it
@@ -218,34 +216,16 @@ class ServeMetrics:
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
-    def _fold_queue_depth_locked(self, queue_depth: int) -> None:
-        """The one EWMA update both depth signals share (lock held)."""
-        alpha = self._ewma_alpha
-        self._queue_depth_ewma = (
-            (1.0 - alpha) * self._queue_depth_ewma + alpha * queue_depth
-        )
-
     def record_enqueue(self, queue_depth: int) -> None:
         """Note a request entering the queue (samples the queue depth)."""
         with self._lock:
             if self._first_ts is None:
                 self._first_ts = self._clock()
             self._queue_depths.add(int(queue_depth))
-            self._fold_queue_depth_locked(queue_depth)
-
-    def observe_queue_depth(self, queue_depth: int) -> None:
-        """Fold a passive queue-depth observation into the EWMA.
-
-        Enqueues sample the depth on their own; idle pollers call this so
-        the EWMA decays toward the *live* depth when no requests arrive —
-        otherwise the signal would freeze at its last burst value and
-        autoscaling could never drain (or worse, keep scaling up) an idle
-        pool.  Unlike :meth:`record_enqueue` this records no sample row.
-        """
-        with self._lock:
-            self._fold_queue_depth_locked(queue_depth)
-            ewma = self._queue_depth_ewma
-        self._obs_queue_ewma.set(ewma)
+            alpha = self._ewma_alpha
+            self._queue_depth_ewma = (
+                (1.0 - alpha) * self._queue_depth_ewma + alpha * queue_depth
+            )
 
     def queue_depth_ewma(self) -> float:
         """Current exponentially-weighted moving average of the queue depth."""
@@ -317,9 +297,11 @@ class ServeMetrics:
     ) -> float:
         """Adaptive backoff hint for shed responses, from the queue EWMA.
 
-        The hint grows linearly with the sustained backlog (the same
-        queue-depth EWMA the batcher's autoscalers read): an idle service
-        hands back ``base_ms``, a saturated one approaches ``cap_ms``.
+        The hint grows linearly with the sustained backlog (the queue-depth
+        EWMA the batchers' enqueues feed): an idle service hands back
+        ``base_ms``, a saturated one approaches ``cap_ms``.  The front-end
+        is its one caller, with the ``shed_retry_*`` knobs of its
+        :class:`~repro.serve.config.FrontendConfig`.
         Well-behaved clients sleeping this long spread a thundering herd
         over the time the backlog actually needs to drain — adaptive
         backoff with the *server* publishing the contention window.
@@ -413,14 +395,11 @@ class ServeMetrics:
         self,
         title: str = "serving metrics",
         cache_stats: Optional[Dict[str, float]] = None,
-        extra_rows: Optional[Sequence[Sequence[object]]] = None,
     ) -> str:
         """Render the snapshot as the repo's standard ASCII table.
 
         ``cache_stats`` (a :meth:`PredictionCache.stats` snapshot) appends
-        the prediction cache's hit-rate to the report; ``extra_rows`` lets
-        the caller surface derived state (e.g. the micro-batcher's adaptive
-        coalescing window).
+        the prediction cache's hit-rate to the report.
         """
         snap = self.snapshot()
         approx = snap["latency_samples"] < snap["requests"]
@@ -448,7 +427,5 @@ class ServeMetrics:
         if cache_stats is not None:
             rows.append(["cache hit rate", float(cache_stats["hit_rate"])])
             rows.append(["cache entries", float(cache_stats["entries"])])
-        if extra_rows:
-            rows.extend([list(row) for row in extra_rows])
         return format_table(["metric", "value"], rows, title=title,
                             float_format="{:.3f}")

@@ -1,18 +1,20 @@
-"""Multi-model registry: named + versioned artifacts, atomic hot-swap.
+"""Multi-model registry: the routing table of the serving path.
 
 One frontend, many models.  The :class:`ModelRegistry` is the name →
-version → artifact resolution layer the serving stack was missing: clients
-ask for ``resnet18-mini@v2`` (or ``resnet18-mini@latest``, or just the bare
-name) and the registry answers with a concrete :class:`ModelVersion` whose
-engine is built lazily and shared.
+version → artifact resolution layer: clients ask for
+``resnet18-mini@v2`` (or ``resnet18-mini@latest``, or just the bare name)
+and the registry answers with a concrete :class:`ModelVersion`.  It owns no
+engine: :meth:`ModelRegistry.engine_factory` hands the front-end a builder,
+and the :class:`~repro.serve.supervisor.ReplicaSupervisor` builds, restarts
+and closes every served engine from it.
 
 Three properties do the heavy lifting:
 
-* **Fingerprint dedup.**  Every registered artifact is fingerprinted
-  (blake2b over its frozen tensors, the same digest family the engine uses
-  for its plan-cache key).  Two versions with identical frozen params map
-  to *one* canonical engine — one plan cache — so re-registering
-  yesterday's weights under a new version label costs nothing.
+* **Fingerprints.**  Every registered artifact is fingerprinted (blake2b
+  over its frozen tensors).  The fingerprint is what ``list-models``
+  reports per version; the engine's own digest of its frozen units
+  namespaces prediction-cache keys, so fingerprint-identical versions
+  share cached answers and different ones never do.
 * **Atomic swap.**  Traffic routing lives in an immutable
   :class:`RoutingSnapshot` replaced wholesale under a single lock.
   ``swap(name, version)`` flips which version new requests resolve to;
@@ -25,25 +27,22 @@ Three properties do the heavy lifting:
   split — reproducible experiments, not coin flips.
 
 The :class:`~repro.serve.canary.CanaryController` sits on top and decides
-*when* to flip: it watches per-version latency/error/margin series and
-rolls a regressing candidate back (with capped doubling hold-off, DCF
-style) before promotion.
+*when* to flip: it watches per-version latency and error series and rolls
+a regressing candidate back (with capped doubling hold-off, DCF style)
+before promotion.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.registry import get_registry
-from repro.serve.cache import input_digest
 from repro.serve.errors import ServeError
 from repro.serve.export import InferenceArtifact
-from repro.serve.metrics import ModelSeries
 
 #: Version alias that always resolves to the newest registered version.
 LATEST = "latest"
@@ -80,9 +79,8 @@ def parse_model_ref(ref: str) -> Tuple[str, Optional[str]]:
 def artifact_fingerprint(artifact: InferenceArtifact) -> str:
     """Content digest of an artifact's frozen tensors.
 
-    blake2b over the sorted tensor names and raw bytes — the registry's
-    dedup key.  Two versions with equal fingerprints share one engine
-    (hence one plan cache).
+    blake2b over the sorted tensor names, dtypes, shapes and raw bytes:
+    two versions with equal fingerprints hold identical frozen params.
     """
     hasher = hashlib.blake2b(digest_size=16)
     for key in sorted(artifact.tensors):
@@ -168,14 +166,14 @@ class RouteDecision:
 
 
 class ModelRegistry:
-    """Named + versioned artifacts with shared engines and atomic routing.
+    """Named + versioned artifacts behind an atomic routing snapshot.
 
     Parameters
     ----------
     engine_builder:
-        ``artifact -> engine`` callable used to build the canonical engine
-        for a fingerprint the first time it is needed.  Defaults to
-        :func:`~repro.serve.engine.build_engine` (imported lazily so stub
+        ``artifact -> engine`` callable behind :meth:`engine_factory` for
+        versions registered without their own engine or factory.  Defaults
+        to :func:`~repro.serve.engine.build_engine` (imported lazily so stub
         registries never touch the kernel stack).
     """
 
@@ -187,17 +185,11 @@ class ModelRegistry:
     ) -> None:
         self._builder = engine_builder
         self._lock = threading.Lock()          # versions + routing snapshot
-        self._engine_lock = threading.Lock()   # fingerprint -> engine memo
         self._versions: "Dict[str, Dict[str, ModelVersion]]" = {}
         self._order: "Dict[str, List[str]]" = {}   # registration order
         self._routing: "Dict[str, _Route]" = {}    # replaced wholesale
-        self._engines: "Dict[str, object]" = {}
-        self._engine_builds = 0
-        self._shared_engines = 0
         self._swaps = 0
         self._register_seq = 0
-        self._closed = False
-        self.series = ModelSeries()
         obs = get_registry()
         self._obs_swaps = obs.counter(
             "repro_model_swaps_total",
@@ -221,8 +213,8 @@ class ModelRegistry:
     ) -> ModelVersion:
         """Register one (name, version) artifact.
 
-        A prebuilt ``engine`` (tests, faults) or a zero-arg
-        ``engine_factory`` (per-replica builds) may override the
+        A prebuilt ``engine`` (tests, faults: every replica shares it) or
+        a zero-arg ``engine_factory`` (per-replica builds) may override the
         registry's ``engine_builder`` for this version.  The first version
         registered under a name becomes its stable serving version;
         ``make_default=False`` skips that (the version is resolvable but
@@ -237,8 +229,6 @@ class ModelRegistry:
             raise ValueError(f"invalid model version {version!r}")
         fingerprint = artifact_fingerprint(artifact)
         with self._lock:
-            if self._closed:
-                raise RuntimeError("registry is closed")
             versions = self._versions.setdefault(name, {})
             if version in versions:
                 raise ValueError(
@@ -259,11 +249,6 @@ class ModelRegistry:
             self._obs_versions.set(
                 sum(len(v) for v in self._versions.values())
             )
-        if engine is not None:
-            # Pin the fingerprint's canonical engine to the prebuilt one
-            # (first registration wins — that is the dedup contract).
-            with self._engine_lock:
-                self._engines.setdefault(fingerprint, engine)
         return model
 
     def names(self) -> List[str]:
@@ -426,49 +411,14 @@ class ModelRegistry:
     # ------------------------------------------------------------------ #
     # engines
     # ------------------------------------------------------------------ #
-    def _build(self, artifact: InferenceArtifact) -> object:
-        if self._builder is not None:
-            return self._builder(artifact)
-        from repro.serve.engine import build_engine
-
-        return build_engine(artifact)
-
-    def engine(self, ref: str) -> object:
-        """The canonical (shared) engine for ``ref``'s fingerprint.
-
-        Built lazily on first use and memoized per *fingerprint*, not per
-        version: versions with identical frozen params share one engine,
-        one plan cache.
-        """
-        model = self.resolve(ref)
-        with self._engine_lock:
-            engine = self._engines.get(model.fingerprint)
-            if engine is not None:
-                if model._prebuilt is None or engine is model._prebuilt:
-                    self._shared_engines += 1
-                return engine
-        # Build outside the memo lock (engine builds stage weights and can
-        # take a while); first store wins on a build race.
-        built = (model._prebuilt if model._prebuilt is not None
-                 else model._factory() if model._factory is not None
-                 else self._build(model.artifact))
-        with self._engine_lock:
-            engine = self._engines.setdefault(model.fingerprint, built)
-            if engine is built:
-                self._engine_builds += 1
-        if engine is not built:
-            close = getattr(built, "close", None)
-            if callable(close):
-                close()
-        return engine
-
     def engine_factory(self, ref: str) -> Callable[[], object]:
         """Zero-arg factory for supervisor replicas of ``ref``.
 
         Prebuilt engines are returned as-is (the test/faults path);
         factory-backed versions call their own factory; otherwise each
-        call builds a fresh engine from the artifact — the supervisor's
-        unit of recovery after a crash.
+        call builds a fresh engine from the artifact with the registry's
+        ``engine_builder`` — the supervisor's unit of recovery after a
+        crash.
         """
         model = self.resolve(ref)
 
@@ -477,70 +427,17 @@ class ModelRegistry:
                 return model._prebuilt
             if model._factory is not None:
                 return model._factory()
-            return self._build(model.artifact)
+            if self._builder is not None:
+                return self._builder(model.artifact)
+            from repro.serve.engine import build_engine
+
+            return build_engine(model.artifact)
 
         factory.__name__ = f"engine_factory[{model.ref}]"
         return factory
 
     # ------------------------------------------------------------------ #
-    # direct prediction (in-process path; the frontend routes itself)
-    # ------------------------------------------------------------------ #
-    def predict(self, sample: np.ndarray, ref: Optional[str] = None,
-                key: Optional[str] = None,
-                controller: Optional[object] = None) -> Dict[str, object]:
-        """Route one sample, run it, and observe the per-version series.
-
-        Returns ``{"label", "model", "version", "ref", "canary",
-        "latency_ms", "margin"}``.  Engine failures are observed as
-        errors on the routed version, then re-raised — the canary
-        controller (``controller`` or one attached via
-        :meth:`attach_controller`) sees every outcome.
-        """
-        sample = np.asarray(sample)
-        decision = self.route(
-            ref, key=key if key is not None else input_digest(sample)
-        )
-        engine = self.engine(decision.ref)
-        watcher = controller if controller is not None else self._controller
-        batch = sample[None, ...]
-        started = time.perf_counter()
-        margin: Optional[float] = None
-        try:
-            with_margin = getattr(engine, "predict_with_margin", None)
-            if callable(with_margin):
-                labels, margins = with_margin(batch)
-                label, margin = int(labels[0]), float(margins[0])
-            else:
-                predict = getattr(engine, "predict", None) or engine
-                label = int(np.asarray(predict(batch)).ravel()[0])
-        except BaseException:
-            latency_ms = 1000.0 * (time.perf_counter() - started)
-            self.series.record(decision.name, decision.version,
-                               latency_ms, ok=False)
-            if watcher is not None:
-                watcher.observe(decision.name, decision.version,
-                                latency_ms, ok=False)
-            raise
-        latency_ms = 1000.0 * (time.perf_counter() - started)
-        self.series.record(decision.name, decision.version, latency_ms)
-        if watcher is not None:
-            watcher.observe(decision.name, decision.version, latency_ms,
-                            ok=True, margin=margin)
-        return {
-            "label": label, "model": decision.name,
-            "version": decision.version, "ref": decision.ref,
-            "canary": decision.canary, "latency_ms": latency_ms,
-            "margin": margin,
-        }
-
-    _controller: Optional[object] = None
-
-    def attach_controller(self, controller: object) -> None:
-        """Attach a canary controller observed by :meth:`predict`."""
-        self._controller = controller
-
-    # ------------------------------------------------------------------ #
-    # introspection + lifecycle
+    # introspection
     # ------------------------------------------------------------------ #
     def describe(self) -> List[Dict[str, object]]:
         """JSON-ready summary (the ``list-models`` wire response)."""
@@ -571,49 +468,11 @@ class ModelRegistry:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            versions = sum(len(v) for v in self._versions.values())
-            models = len(self._versions)
-            swaps = self._swaps
-        with self._engine_lock:
-            builds = self._engine_builds
-            shared = self._shared_engines
-            engines = len(self._engines)
-        return {
-            "models": models, "versions": versions, "engines": engines,
-            "engine_builds": builds, "shared_engine_hits": shared,
-            "swaps": swaps,
-        }
-
-    def close(self) -> None:
-        """Close every canonical engine exactly once (idempotent).
-
-        Engines exposing ``close()`` (such as fault-injection wrappers)
-        get it called; fingerprint-shared engines are closed once.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        with self._engine_lock:
-            engines = list(self._engines.values())
-            self._engines.clear()
-        seen: set = set()
-        for engine in engines:
-            if id(engine) in seen:
-                continue
-            seen.add(id(engine))
-            close = getattr(engine, "close", None)
-            if callable(close):
-                try:
-                    close()
-                except Exception:
-                    pass
-
-    def __enter__(self) -> "ModelRegistry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            return {
+                "models": len(self._versions),
+                "versions": sum(len(v) for v in self._versions.values()),
+                "swaps": self._swaps,
+            }
 
 
 __all__ = [

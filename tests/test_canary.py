@@ -1,8 +1,9 @@
 """Canary controller conformance + the hot-swap/canary wire soak.
 
 The unit half pins the controller's contracts: seeded deterministic
-traffic splits, rollback on injected error-rate / latency / margin
-regressions, capped doubling hold-off between failed rollouts.
+traffic splits, rollback on injected error-rate / latency regressions
+(driven over the wire through a registry-backed front-end, the one
+serving path), capped doubling hold-off between failed rollouts.
 
 The soak half drives a registry-backed :class:`ServeFrontend` over a real
 socket under sustained threaded load: >= 3 consecutive hot-swaps with
@@ -30,7 +31,7 @@ from repro.serve import (
     DeadlineExceeded,
     ServeFrontend,
 )
-from repro.serve.faults import FaultSchedule, FaultyEngine, InjectedFault
+from repro.serve.faults import FaultSchedule, FaultyEngine
 
 
 # --------------------------------------------------------------------------- #
@@ -72,6 +73,34 @@ def _registry(**engines):
 def _samples(count, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(count, 3)).astype(np.float32)
+
+
+def _frontend(registry, controller):
+    """Registry-backed front-end; the controller sees every wire outcome."""
+    config = FrontendConfig(
+        num_replicas=1, max_wait_ms=0.5, cache_capacity=0,
+        default_deadline_ms=5000.0, restart_backoff_ms=5.0,
+        health_interval_ms=5.0,
+    )
+    return ServeFrontend(registry=registry, config=config,
+                         controller=controller)
+
+
+def _drive(frontend, samples, until=lambda: False):
+    """Send ``samples`` one by one until ``until()``; tally outcomes."""
+    outcomes = {"ok": 0, "shed": 0, "deadline": 0}
+    with FrontendClient(*frontend.address) as client:
+        for sample in samples:
+            try:
+                client.predict_routed(sample)
+                outcomes["ok"] += 1
+            except RequestShed:
+                outcomes["shed"] += 1
+            except DeadlineExceeded:
+                outcomes["deadline"] += 1
+            if until():
+                break
+    return outcomes
 
 
 # --------------------------------------------------------------------------- #
@@ -136,14 +165,10 @@ class TestRollbackOnRegression:
         registry = _registry(v1=StubEngine(1), v2=faulty)
         controller = CanaryController(registry, window=16, min_samples=4,
                                       holdoff_base_s=0.05)
-        controller.start("m", "v2", fraction=0.5, seed=1)
-        for sample in _samples(300, seed=7):
-            try:
-                registry.predict(sample)
-            except InjectedFault:
-                pass
-            if registry.canary_of("m") is None:
-                break
+        with _frontend(registry, controller) as frontend:
+            frontend.start_canary("m@v2", fraction=0.5, seed=1)
+            _drive(frontend, _samples(300, seed=7),
+                   until=lambda: registry.canary_of("m") is None)
         assert registry.canary_of("m") is None
         assert controller.rollbacks == 1
         (status,) = controller.status("m")
@@ -158,43 +183,32 @@ class TestRollbackOnRegression:
                                       latency_ratio=1.5,
                                       latency_floor_ms=1.0,
                                       holdoff_base_s=0.05)
-        controller.start("m", "v2", fraction=0.5, seed=1)
-        for sample in _samples(300, seed=11):
-            registry.predict(sample)
-            if registry.canary_of("m") is None:
-                break
+        with _frontend(registry, controller) as frontend:
+            frontend.start_canary("m@v2", fraction=0.5, seed=1)
+            outcomes = _drive(frontend, _samples(300, seed=11),
+                              until=lambda: registry.canary_of("m") is None)
+        assert outcomes["shed"] == outcomes["deadline"] == 0
         assert registry.canary_of("m") is None
         assert controller.rollbacks == 1
         (status,) = controller.status("m")
         assert "latency" in status["last_rollback"]["reason"]
 
-    def test_margin_regression_rolls_back(self):
-        """Goodness-margin collapse on the candidate triggers rollback."""
+    def test_healthy_candidate_is_not_rolled_back(self):
+        # The floor keeps scheduler noise on sub-millisecond wire answers
+        # from reading as a latency regression of an identical engine.
         registry = _registry(v1=StubEngine(1), v2=StubEngine(2))
         controller = CanaryController(registry, window=16, min_samples=4,
-                                      margin_ratio=0.5,
-                                      holdoff_base_s=0.05)
-        controller.start("m", "v2", fraction=0.5)
-        for _ in range(4):
-            controller.observe("m", "v1", 1.0, ok=True, margin=1.0)
-        for _ in range(3):
-            controller.observe("m", "v2", 1.0, ok=True, margin=0.1)
-        assert registry.canary_of("m") is not None  # below min_samples
-        controller.observe("m", "v2", 1.0, ok=True, margin=0.1)
-        assert registry.canary_of("m") is None
-        (status,) = controller.status("m")
-        assert "margin" in status["last_rollback"]["reason"]
-
-    def test_healthy_candidate_is_not_rolled_back(self):
-        registry = _registry(v1=StubEngine(1), v2=StubEngine(2))
-        controller = CanaryController(registry, window=16, min_samples=4)
-        controller.start("m", "v2", fraction=0.5, seed=1)
-        for sample in _samples(120, seed=13):
-            registry.predict(sample)
-        assert registry.canary_of("m") is not None
-        assert controller.rollbacks == 0
-        assert controller.promote("m") == ("v1", "v2")
-        assert registry.serving("m") == "v2"
+                                      latency_floor_ms=20.0)
+        with _frontend(registry, controller) as frontend:
+            frontend.start_canary("m@v2", fraction=0.5, seed=1)
+            outcomes = _drive(frontend, _samples(120, seed=13))
+            assert outcomes["ok"] == 120
+            assert registry.canary_of("m") is not None
+            assert controller.rollbacks == 0
+            assert controller.promote("m") == ("v1", "v2")
+            assert registry.serving("m") == "v2"
+            with FrontendClient(*frontend.address) as client:
+                assert client.predict_routed(_samples(1)[0]) == (2, "m@v2")
 
     def test_unrelated_version_observations_are_ignored(self):
         registry = _registry(v1=StubEngine(1), v2=StubEngine(2),

@@ -110,13 +110,15 @@ class TestFrontendConfig:
         assert payload["max_batch_size"] == 8
 
     def test_serve_config_admission_knobs(self):
-        config = ServeConfig(max_queue_depth=4, shed_retry_base_ms=1.0,
-                             shed_retry_cap_ms=10.0)
+        # Admission is the front-end's alone: the batcher config has none.
+        config = FrontendConfig(max_queue_depth=4, shed_retry_base_ms=1.0,
+                                shed_retry_cap_ms=10.0)
         assert config.max_queue_depth == 4
+        assert not hasattr(ServeConfig(), "max_queue_depth")
         with pytest.raises(ValueError):
-            ServeConfig(max_queue_depth=-1)
+            FrontendConfig(max_queue_depth=0)
         with pytest.raises(ValueError):
-            ServeConfig(shed_retry_base_ms=50.0, shed_retry_cap_ms=10.0)
+            FrontendConfig(shed_retry_base_ms=50.0, shed_retry_cap_ms=10.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -182,23 +184,9 @@ class TestBatcherDeadlines:
 
 
 class TestBatcherAdmission:
-    def test_sheds_at_max_queue_depth(self):
-        engine = _GatedEngine()
-        config = ServeConfig(max_wait_ms=0.5, max_queue_depth=2,
-                             dedup_inflight=False, cache_capacity=0)
-        with MicroBatcher(engine, config) as batcher:
-            outcomes = flood(batcher.submit, X, 8)
-            sheds = [o for o in outcomes if isinstance(o, RequestShed)]
-            futures = [o for o in outcomes if not isinstance(o, Exception)]
-            assert len(sheds) == 6 and len(futures) == 2
-            assert all(s.reason == "queue_full" for s in sheds)
-            assert all(s.retry_after_ms >= 0.0 for s in sheds)
-            assert batcher.metrics.snapshot()["shed_requests"] == 6
-            engine.release.set()
-            for future in futures:
-                future.result(timeout=5.0)  # admitted work still completes
-
     def test_zero_depth_disables_shedding(self):
+        # The batcher has no admission bound: the front-end's
+        # max_queue_depth is the only one on the serving path.
         with MicroBatcher(_sum_engine(),
                           ServeConfig(max_wait_ms=0.5)) as batcher:
             outcomes = flood(batcher.submit, X, 64)
@@ -502,8 +490,25 @@ class TestFrontendWire:
             kinds = [kind for kind, _ in outcomes]
             assert kinds.count("shed") >= 1
             assert kinds.count("ok") >= 1
-            assert all(hint >= 0.0 for kind, hint in outcomes
-                       if kind == "shed")
+            # Each shed is counted once and carries the front-end's hint.
+            snapshot = frontend.metrics.snapshot()
+            assert snapshot["shed_requests"] == kinds.count("shed")
+            assert all(hint >= frontend.config.shed_retry_base_ms
+                       for kind, hint in outcomes if kind == "shed")
+
+    def test_draining_replica_shed_is_counted_once_with_hint(self):
+        # A replica batcher that refuses work while draining hands its
+        # shed back through the supervisor; the front-end alone counts it
+        # and attaches the backoff hint.
+        with _frontend(_sum_engine, shed_retry_base_ms=7.0) as frontend:
+            (replica,) = frontend.supervisor._replicas
+            replica.batcher.drain(timeout=0.0)
+            with FrontendClient(*frontend.address) as client:
+                with pytest.raises(RequestShed) as info:
+                    client.predict(X)
+            assert info.value.reason == "draining"
+            assert info.value.retry_after_ms >= 7.0
+            assert frontend.metrics.snapshot()["shed_requests"] == 1
 
     def test_drain_stops_intake_and_flushes(self):
         with _frontend(_sum_engine) as frontend:
@@ -774,6 +779,34 @@ class TestRegistryWire:
                 (model,) = view["models"]
                 assert model["name"] == "m"
                 assert "m@v1" in view["model_replicas"]
+
+    def test_close_leaves_no_serving_threads(self):
+        """Swap, canary start + rollback, close: every thread exits."""
+        prefixes = ("serve-worker-", "replica-supervisor", "serve-frontend",
+                    "retire-")
+
+        before = set(threading.enumerate())
+
+        def serving_threads():
+            return [thread.name for thread in threading.enumerate()
+                    if thread not in before
+                    and thread.name.startswith(prefixes)]
+
+        frontend = _registry_frontend(num_replicas=2).start()
+        try:
+            with FrontendClient(*frontend.address) as client:
+                assert client.predict_routed(X) == (1, "m@v1")
+                client.swap("m@v2")
+                assert client.predict_routed(X) == (2, "m@v2")
+                client.canary_start("m@v1", fraction=1.0, force=True)
+                assert client.predict_routed(X) == (1, "m@v1")
+                assert client.canary_rollback("m")["rolled_back"]
+        finally:
+            frontend.close()
+        deadline = time.monotonic() + 5.0
+        while serving_threads() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not serving_threads()
 
     def test_admin_kinds_rejected_without_registry(self):
         with _frontend(_sum_engine) as frontend:

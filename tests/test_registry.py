@@ -4,10 +4,10 @@ Covers the contracts the serving stack leans on:
 
 * ref parsing and resolution semantics (``@latest``, bare names, dotted
   names, missing versions raise),
-* atomic hot-swap under concurrent prediction — zero dropped requests,
-  zero mixed-version responses,
-* fingerprint dedup — identical frozen params share one engine,
-* ``close()`` releasing every cached plan's kernel backends,
+* atomic hot-swap under concurrent wire prediction through a
+  registry-backed front-end — zero dropped requests, zero mixed-version
+  responses,
+* artifact fingerprints — identical frozen params, one fingerprint,
 * prediction-cache namespacing — a shared cache can never serve another
   version's entries.
 """
@@ -20,12 +20,16 @@ import pytest
 
 from repro.models import build_mlp
 from repro.serve import (
+    FrontendClient,
+    FrontendConfig,
     InferenceArtifact,
     MicroBatcher,
     ModelNotFound,
     ModelRegistry,
     PredictionCache,
+    RequestShed,
     ServeConfig,
+    ServeFrontend,
     artifact_fingerprint,
     build_engine,
     export_artifact,
@@ -71,11 +75,6 @@ def _export_mlp():
     bundle = _mlp_h2(seed=0)
     return export_artifact(bundle.ff_units(), bundle,
                            goodness="sum_squares", overlay_amplitude=2.0)
-
-
-def _inputs(shape, count, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(count,) + shape).astype(np.float32)
 
 
 # --------------------------------------------------------------------------- #
@@ -189,12 +188,6 @@ class TestResolution:
         assert set(entry["fingerprints"]) == {"v1", "v2"}
         assert "canary" not in entry
 
-    def test_register_after_close_rejected(self):
-        reg = self._registry()
-        reg.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            reg.register("m", "v3", _stub_artifact(5.0))
-
 
 # --------------------------------------------------------------------------- #
 # atomic swap
@@ -236,42 +229,55 @@ class TestSwap:
         assert reg.canary_of("m") == ("v3", 0.25, 7)
 
     def test_swap_atomicity_under_concurrent_prediction(self):
-        """8 predict threads across >= 3 swaps: nothing dropped or mixed.
+        """8 wire clients across >= 3 swaps: nothing dropped or mixed.
 
         Every response must be internally consistent — the label the
-        engine produced must match the version the router claims served
-        it.  A torn routing snapshot would pair v1's engine with v2's
-        version tag (or crash); both count as failures.
+        engine produced must match the version the front-end echoes.  A
+        torn routing snapshot would pair v1's engine with v2's version
+        tag; a lost request would surface as an error or a deadline.
+        Both count as failures.  A shed is an explicit outcome, not a
+        drop: a request routed just before a swap may find the old
+        version's replica set already retiring.
         """
-        labels = {"v1": 1, "v2": 2, "v3": 3}
+        labels = {"m@v1": 1, "m@v2": 2, "m@v3": 3}
         reg = self._registry()
+        config = FrontendConfig(num_replicas=1, max_wait_ms=0.5,
+                                cache_capacity=0, default_deadline_ms=5000.0)
+        frontend = ServeFrontend(registry=reg, config=config).start()
         stop = threading.Event()
         failures, counts = [], [0] * 8
 
         def worker(index):
             rng = np.random.default_rng(index)
-            while not stop.is_set():
-                sample = rng.normal(size=(3,)).astype(np.float32)
-                try:
-                    out = reg.predict(sample)
-                except Exception as error:  # noqa: BLE001 — failure data
-                    failures.append(error)
-                    return
-                if out["label"] != labels[out["version"]]:
-                    failures.append(out)
-                counts[index] += 1
+            with FrontendClient(*frontend.address) as client:
+                while not stop.is_set():
+                    sample = rng.normal(size=(3,)).astype(np.float32)
+                    try:
+                        label, ref = client.predict_routed(sample)
+                    except RequestShed:
+                        continue
+                    except Exception as error:  # noqa: BLE001 — failure data
+                        failures.append(error)
+                        return
+                    if label != labels[ref]:
+                        failures.append((ref, label))
+                    counts[index] += 1
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(8)]
-        for thread in threads:
-            thread.start()
         swaps = ["v2", "v3", "v1", "v2"]
-        for target in swaps:
+        try:
+            for thread in threads:
+                thread.start()
+            for target in swaps:
+                time.sleep(0.05)
+                frontend.swap(f"m@{target}")
             time.sleep(0.05)
-            reg.swap("m", target)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            frontend.close()
         assert not failures
         assert all(count > 0 for count in counts)  # nobody starved
         assert reg.stats()["swaps"] == len(swaps)
@@ -279,7 +285,7 @@ class TestSwap:
 
 
 # --------------------------------------------------------------------------- #
-# fingerprint dedup + engine lifecycle
+# artifact fingerprints
 # --------------------------------------------------------------------------- #
 class TestFingerprintDedup:
     def test_identical_artifacts_share_one_fingerprint(self):
@@ -287,57 +293,6 @@ class TestFingerprintDedup:
                 == artifact_fingerprint(_stub_artifact(1.0)))
         assert (artifact_fingerprint(_stub_artifact(1.0))
                 != artifact_fingerprint(_stub_artifact(2.0)))
-
-    def test_identical_params_build_one_engine(self):
-        builds = []
-
-        def builder(artifact):
-            builds.append(artifact)
-            return StubEngine(7)
-
-        reg = ModelRegistry(engine_builder=builder)
-        artifact = _stub_artifact(1.0)
-        reg.register("m", "v1", artifact)
-        reg.register("m", "v2", artifact, make_default=False)
-        assert reg.engine("m@v1") is reg.engine("m@v2")
-        assert len(builds) == 1
-        stats = reg.stats()
-        assert stats["engine_builds"] == 1
-        assert stats["shared_engine_hits"] >= 1
-        # Distinct params do get their own engine.
-        reg.register("m", "v3", _stub_artifact(2.0), make_default=False)
-        assert reg.engine("m@v3") is not reg.engine("m@v1")
-        assert reg.stats()["engine_builds"] == 2
-
-    def test_dedup_shares_one_real_engine(self):
-        """Real engines: the second version reuses the first's engine."""
-        artifact = _export_mlp()
-        reg = ModelRegistry(
-            engine_builder=lambda frozen: build_engine(
-                frozen, _mlp_h2(seed=0)))
-        reg.register("mlp", "v1", artifact)
-        reg.register("mlp", "v2", artifact, make_default=False)
-        first = reg.engine("mlp@v1")
-        assert reg.engine("mlp@v2") is first
-        assert reg.stats()["engine_builds"] == 1
-        # ...and the shared engine actually serves.
-        assert first.predict(_inputs((1, 14, 14), 40)).shape == (40,)
-        reg.close()
-        reg.close()  # idempotent
-
-    def test_close_closes_each_engine_exactly_once(self):
-        artifact = _stub_artifact(1.0)
-        shared = StubEngine(1)
-        other = StubEngine(2)
-        reg = ModelRegistry()
-        reg.register("m", "v1", artifact, engine=shared)
-        reg.register("m", "v2", artifact, engine=shared, make_default=False)
-        reg.register("m", "v3", _stub_artifact(2.0), engine=other,
-                     make_default=False)
-        reg.engine("m@v1"), reg.engine("m@v2"), reg.engine("m@v3")
-        reg.close()
-        assert shared.closes == 1
-        assert other.closes == 1
 
 
 # --------------------------------------------------------------------------- #

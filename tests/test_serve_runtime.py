@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    FrontendConfig,
     MicroBatcher,
     PredictionCache,
     ServeConfig,
@@ -21,26 +22,32 @@ class TestServeConfig:
         config = ServeConfig()
         assert config.max_batch_size == 32
         assert config.max_wait_s == config.max_wait_ms / 1000.0
-        assert config.poll_timeout_s == config.poll_timeout_ms / 1000.0
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch_size": 0},
         {"max_wait_ms": -1.0},
         {"num_workers": 0},
         {"cache_capacity": -1},
-        {"poll_timeout_ms": 0.0},
+        {"backend": "no-such-backend"},
         {"request_timeout_s": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
-    def test_extra_kwargs_ride_along(self):
-        config = ServeConfig(max_batch_size=8, deployment_zone="edge-1")
-        assert config.deployment_zone == "edge-1"
-        payload = config.as_dict()
-        assert payload["deployment_zone"] == "edge-1"
-        assert payload["max_batch_size"] == 8
+    def test_unknown_keywords_rejected(self):
+        cases = [
+            # A misspelled field must not leave the real one at its default.
+            (ServeConfig, "max_batchsize", 4),
+            (FrontendConfig, "replica", 3),
+            # A removed field fails loudly instead of being ignored.
+            (ServeConfig, "autoscale_wait", True),
+            # Admission belongs to the front-end, not the batcher config.
+            (ServeConfig, "max_queue_depth", 4),
+        ]
+        for config_type, keyword, value in cases:
+            with pytest.raises(TypeError, match=keyword):
+                config_type(**{keyword: value})
 
 
 class TestPredictionCache:
@@ -275,7 +282,7 @@ class TestMicroBatcher:
         # that would kill the next generation's worker on arrival
         model = _CountingModel()
         config = ServeConfig(num_workers=1, cache_capacity=0,
-                             poll_timeout_ms=1.0, request_timeout_s=2.0)
+                             request_timeout_s=2.0)
         batcher = MicroBatcher(model, config)
         for _ in range(5):
             batcher.start()
@@ -302,15 +309,7 @@ class TestMicroBatcher:
 
 
 class TestAdaptiveWait:
-    def test_config_validates_bounds(self):
-        with pytest.raises(ValueError, match="min_wait_ms"):
-            ServeConfig(max_wait_ms=2.0, min_wait_ms=5.0)
-        with pytest.raises(ValueError, match="min_wait_ms"):
-            ServeConfig(min_wait_ms=-1.0)
-        config = ServeConfig(autoscale_wait=True, max_wait_ms=4.0,
-                             min_wait_ms=0.5)
-        assert config.autoscale_wait and config.min_wait_s == 0.0005
-        assert config.as_dict()["autoscale_wait"] is True
+    """The queue-depth EWMA behind the front-end's shed backoff hint."""
 
     def test_queue_depth_ewma_tracks_load(self):
         from repro.serve.metrics import ServeMetrics
@@ -327,182 +326,3 @@ class TestAdaptiveWait:
         assert "queue_depth_ewma" in metrics.snapshot()
         metrics.reset()
         assert metrics.queue_depth_ewma() == 0.0
-
-    def test_window_shrinks_under_load(self):
-        model = _CountingModel()
-        config = ServeConfig(max_batch_size=8, max_wait_ms=10.0,
-                             min_wait_ms=1.0, autoscale_wait=True,
-                             cache_capacity=0)
-        batcher = MicroBatcher(model, config)
-        # Idle queue: the full window applies.
-        assert batcher._wait_window_s() == pytest.approx(config.max_wait_s)
-        # Saturated queue: the window collapses to the lower bound.
-        for _ in range(50):
-            batcher.metrics.record_enqueue(3 * config.max_batch_size)
-        assert batcher._wait_window_s() == pytest.approx(config.min_wait_s)
-        assert batcher.current_wait_ms == pytest.approx(config.min_wait_ms)
-
-    def test_fixed_window_without_autoscale(self):
-        model = _CountingModel()
-        config = ServeConfig(max_batch_size=8, max_wait_ms=10.0,
-                             cache_capacity=0)
-        batcher = MicroBatcher(model, config)
-        for _ in range(50):
-            batcher.metrics.record_enqueue(64)
-        assert batcher._wait_window_s() == pytest.approx(config.max_wait_s)
-
-    def test_report_includes_adaptive_window(self):
-        model = _CountingModel()
-        config = ServeConfig(max_batch_size=4, max_wait_ms=5.0,
-                             min_wait_ms=0.5, autoscale_wait=True,
-                             cache_capacity=0)
-        with MicroBatcher(model, config) as batcher:
-            batcher.predict_many(self._samples_for_report(12))
-            report = batcher.format_report()
-        assert "adaptive max_wait (ms)" in report
-        # Without autoscaling the row is absent.
-        plain = MicroBatcher(_CountingModel(), ServeConfig(cache_capacity=0))
-        assert "adaptive max_wait" not in plain.format_report()
-
-    @staticmethod
-    def _samples_for_report(count, seed=1):
-        rng = np.random.default_rng(seed)
-        return [rng.normal(size=(6,)).astype(np.float32) for _ in range(count)]
-
-    def test_adaptive_serving_stays_correct(self):
-        model = _CountingModel(delay_s=0.001)
-        samples = self._samples_for_report(40, seed=2)
-        config = ServeConfig(max_batch_size=8, max_wait_ms=8.0,
-                             min_wait_ms=0.2, autoscale_wait=True,
-                             cache_capacity=0)
-        with MicroBatcher(model, config) as batcher:
-            labels = batcher.predict_many(samples)
-        np.testing.assert_array_equal(labels, model.predict(np.stack(samples)))
-        assert config.min_wait_s <= batcher._current_wait_s <= config.max_wait_s
-
-
-class TestWorkerAutoscale:
-    @staticmethod
-    def _samples(count, seed=3):
-        rng = np.random.default_rng(seed)
-        return [rng.normal(size=(6,)).astype(np.float32) for _ in range(count)]
-
-    def test_config_validates_worker_bounds(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            ServeConfig(autoscale_workers=True, num_workers=2,
-                        min_workers=3, max_workers=4)
-        with pytest.raises(ValueError, match="min_workers"):
-            ServeConfig(autoscale_workers=True, num_workers=4, max_workers=2)
-        with pytest.raises(ValueError):
-            ServeConfig(autoscale_cooldown_ms=-1.0)
-        config = ServeConfig(autoscale_workers=True, num_workers=2,
-                             min_workers=1, max_workers=5)
-        payload = config.as_dict()
-        assert payload["autoscale_workers"] is True
-        assert payload["min_workers"] == 1 and payload["max_workers"] == 5
-
-    def test_defaults_leave_autoscale_off(self):
-        config = ServeConfig()
-        assert config.autoscale_workers is False
-        model = _CountingModel()
-        with MicroBatcher(model, config) as batcher:
-            batcher.predict_many(self._samples(8))
-            assert batcher.current_num_workers == config.num_workers
-            assert batcher.autoscale_events == {"up": 0, "down": 0}
-
-    def test_sustained_pressure_spawns_workers(self):
-        from repro.serve.metrics import ServeMetrics
-
-        model = _CountingModel(delay_s=0.002)
-        config = ServeConfig(max_batch_size=2, max_wait_ms=1.0,
-                             num_workers=1, min_workers=1, max_workers=3,
-                             autoscale_workers=True, autoscale_cooldown_ms=0.0,
-                             cache_capacity=0, dedup_inflight=False)
-        # alpha=1 makes the EWMA track the last enqueue-time depth exactly,
-        # so a burst of queued samples reads as sustained pressure.
-        metrics = ServeMetrics(ewma_alpha=1.0)
-        with MicroBatcher(model, config, metrics=metrics) as batcher:
-            batcher.predict_many(self._samples(64))
-            assert batcher.autoscale_events["up"] > 0
-            assert batcher.current_num_workers <= config.max_workers
-        assert batcher.current_num_workers == 0  # stop() joined everyone
-
-    def test_idle_queue_retires_down_to_min(self):
-        from repro.serve.metrics import ServeMetrics
-
-        model = _CountingModel()
-        config = ServeConfig(max_batch_size=4, max_wait_ms=0.5,
-                             num_workers=3, min_workers=1, max_workers=3,
-                             autoscale_workers=True, autoscale_cooldown_ms=0.0,
-                             poll_timeout_ms=5.0, cache_capacity=0)
-        metrics = ServeMetrics(ewma_alpha=1.0)
-        with MicroBatcher(model, config, metrics=metrics) as batcher:
-            # After the burst, idle polls decay the EWMA toward the live
-            # (empty) queue depth on their own; workers then retire one at
-            # a time down to min_workers — no synthetic enqueues needed.
-            batcher.predict_many(self._samples(4))
-            deadline = time.monotonic() + 5.0
-            while (batcher.current_num_workers > config.min_workers
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            assert batcher.current_num_workers == config.min_workers
-            assert batcher.autoscale_events["down"] > 0
-            # Serving still works with the shrunken pool.
-            labels = batcher.predict_many(self._samples(6, seed=4))
-            assert len(labels) == 6
-
-    def test_stale_high_ewma_never_grows_an_idle_pool(self):
-        from repro.serve.metrics import ServeMetrics
-
-        # A burst ends with the EWMA far above max_batch_size.  With no
-        # live backlog the pool must not scale up on that stale history,
-        # and idle polls decay the signal back down.
-        metrics = ServeMetrics(ewma_alpha=0.5)
-        for _ in range(10):
-            metrics.record_enqueue(50)
-        config = ServeConfig(max_batch_size=2, num_workers=1, min_workers=1,
-                             max_workers=3, autoscale_workers=True,
-                             autoscale_cooldown_ms=0.0, poll_timeout_ms=5.0,
-                             cache_capacity=0)
-        with MicroBatcher(_CountingModel(), config,
-                          metrics=metrics) as batcher:
-            time.sleep(0.3)
-            assert batcher.autoscale_events["up"] == 0
-            assert batcher.current_num_workers == 1
-            assert metrics.queue_depth_ewma() < config.max_batch_size
-
-    def test_report_includes_worker_rows(self):
-        model = _CountingModel()
-        config = ServeConfig(num_workers=1, min_workers=1, max_workers=2,
-                             autoscale_workers=True, cache_capacity=0)
-        with MicroBatcher(model, config) as batcher:
-            batcher.predict_many(self._samples(4))
-            report = batcher.format_report()
-        assert "workers (current)" in report
-        assert "worker scale-ups" in report
-        plain = MicroBatcher(_CountingModel(), ServeConfig(cache_capacity=0))
-        assert "workers (current)" not in plain.format_report()
-
-    def test_stale_retire_tokens_respect_the_floor(self):
-        from repro.serve.batcher import _RETIRE
-
-        model = _CountingModel()
-        config = ServeConfig(num_workers=2, min_workers=2, max_workers=3,
-                             autoscale_workers=True, cache_capacity=0)
-        batcher = MicroBatcher(model, config)
-        batcher.start()
-        # Tokens injected at the floor (live or left over across a
-        # stop/start cycle) are swallowed, never underflow min_workers.
-        batcher._queue.put(_RETIRE)
-        batcher.stop()
-        assert batcher.current_num_workers == 0
-        with batcher:
-            batcher._queue.put(_RETIRE)
-            labels = batcher.predict_many(self._samples(8))
-            assert len(labels) == 8
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline and (
-                batcher._queue.qsize() > 0
-            ):
-                time.sleep(0.01)
-            assert batcher.current_num_workers == config.num_workers
