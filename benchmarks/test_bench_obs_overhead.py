@@ -9,8 +9,9 @@ benchmark holds that promise to a number two ways:
   ``has_active_trace``, ``hooks_active``, ``tracing_enabled``) are
   timed in a tight loop, multiplied by how often one served request
   actually hits them (once per request at the batcher, once per batch at
-  the engine, twice per plan step), and divided by the measured
-  per-request serving time.  That fraction is the structural tracing-off
+  the engine, and per plan step one ``has_active_trace`` in the executor
+  plus one ``hooks_active`` in the step module's ``Module.__call__``),
+  and divided by the measured per-request serving time.  That fraction is the structural tracing-off
   overhead and must stay under 1%.
 * **A/B wall clock** — the same batched predict loop runs with tracing
   off and with every request traced (``sample=1.0``); the relative
@@ -128,9 +129,9 @@ def _measure(bench_mnist):
     }
     # How often one request pays each check on the serve hot path: the
     # batcher calls ``maybe_trace`` once per request; the engine checks
-    # ``tracing_enabled`` once per coalesced batch; the executor checks
-    # ``has_active_trace`` and ``hooks_active`` once per plan step,
-    # amortised over the batch.
+    # ``tracing_enabled`` once per coalesced batch; per plan step the
+    # executor checks ``has_active_trace`` and ``Module.__call__`` of the
+    # step module checks ``hooks_active``, amortised over the batch.
     steps = len(engine.executor.plan.steps)
     checks_per_request_ns = (
         check_ns["maybe_trace"]

@@ -1,13 +1,15 @@
 """Model profiling: per-layer MAC counts, parameter counts, activation sizes.
 
 The profiler runs one real forward pass through a model with a
-:class:`ProfileHook` registered on the runtime dispatch layer: every leaf
-module forward reports through the instrumentation tap, and the hook records
-the number of multiply-accumulate operations and the size of every layer
-output.  Because the hook sits on the dispatch layer rather than inside any
-kernel, the same profile is observed whichever backend executes — these
-per-sample quantities feed the training cost model (Table IV / Table V) and
-the memory model.
+:class:`ProfileHook` registered on the runtime's module tap
+(:mod:`repro.runtime.instrument`): every leaf module forward reports there,
+and the hook records the number of multiply-accumulate operations and the
+size of every layer output.  This is the repo's one source of operation
+counts: :func:`repro.hardware.table4_op_counts` derives Table IV from this
+profile, and the same per-sample quantities feed the training cost model
+(Table V) and the memory model.  Because the hook sits on the module tap
+rather than inside any kernel, the same profile is observed whichever
+backend executes.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _layer_macs(module: Module, inputs: np.ndarray, outputs: np.ndarray) -> floa
 
 
 class ProfileHook(instrument.Instrumentation):
-    """Dispatch-layer hook recording per-leaf MACs and activation sizes.
+    """Module-tap hook recording per-leaf MACs and activation sizes.
 
     Registered while a forward pass runs; it sees every module the runtime
     executes (whatever backend) and keeps the records the old forward-wrapping

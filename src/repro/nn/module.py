@@ -169,8 +169,8 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.forward(x)
-        # The dispatch-layer instrumentation tap: profilers and op counters
-        # observe every module forward here, whatever backend executes the
+        # The module tap: the hardware profiler (Table IV's op counts)
+        # observes every module forward here, whatever backend executes the
         # kernels inside.
         if instrument.hooks_active():
             instrument.emit_module(self, x, out)

@@ -1,19 +1,19 @@
 """INT8 quantization substrate.
 
-Implements symmetric uniform quantization with stochastic rounding, integer
-GEMM kernels with INT32 accumulation, range observers, and helpers that attach
-quantized execution engines to models.  This is the machinery shared by
+Implements symmetric uniform quantization with stochastic rounding, the
+INT8 engine that runs a layer's GEMMs on integer operands (the kernels
+themselves live in :mod:`repro.runtime.backends`), range observers, and
+helpers that attach quantized execution engines to models.  This is the machinery shared by
 FF-INT8 and by the INT8 backpropagation baselines (direct, UI8, GDAI8).
 """
 
-from repro.quant.int8_ops import Int8Engine, OpCounts, int8_matmul
+from repro.quant.int8_ops import Int8Engine
 from repro.quant.observers import (
     MinMaxObserver,
     MovingAverageObserver,
     PercentileObserver,
 )
 from repro.quant.prepare import (
-    collect_op_counts,
     is_int8_prepared,
     prepare_int8,
     quantizable_layers,
@@ -35,8 +35,6 @@ __all__ = [
     "int8_config",
     "QuantizedTensor",
     "Int8Engine",
-    "OpCounts",
-    "int8_matmul",
     "quantize",
     "dequantize",
     "fake_quantize",
@@ -52,5 +50,4 @@ __all__ = [
     "strip_int8",
     "is_int8_prepared",
     "quantizable_layers",
-    "collect_op_counts",
 ]

@@ -1,17 +1,16 @@
-"""Integer GEMM entry points with INT8 operands and exact accumulation.
+"""The training-side INT8 engine: quantize, integer GEMM, rescale.
 
-These kernels are the computational heart of FF-INT8 (Figure 4 of the paper):
+These GEMMs are the computational heart of FF-INT8 (Figure 4 of the paper):
 the forward activation matmul and the weight-gradient matmul both run on
 ``int8`` operands, exactly like the INT8 engine on a Jetson Orin Nano.
 
-Since the :mod:`repro.runtime` refactor the actual kernels live in the
-pluggable backends (``reference`` keeps the seed INT32-accumulation NumPy
-path, ``fast`` uses exact-float32 BLAS GEMMs); this module keeps the
-quantization *policy* — SUQ scale derivation, stochastic rounding, the
-requantization rescale — and routes every matmul through
-:mod:`repro.runtime.dispatch`, which also feeds the operation counters
-behind Table IV.  :class:`OpCounts` itself now lives in
-:mod:`repro.runtime.instrument` and is re-exported here unchanged.
+The kernels themselves live in the pluggable backends (``reference`` keeps
+the seed INT32-accumulation NumPy path, ``fast`` uses exact-float32 BLAS
+GEMMs); this module keeps the quantization *policy* — SUQ scale
+derivation, stochastic rounding, the requantization rescale — and routes
+every matmul through :mod:`repro.runtime.dispatch`.  Table IV's operation
+counts are not tallied here; they come from the profiled model
+(:func:`repro.hardware.profile_bundle`).
 """
 
 from __future__ import annotations
@@ -23,40 +22,9 @@ import numpy as np
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
 from repro.runtime import dispatch
-from repro.runtime.backends import integer_matmul
-from repro.runtime.instrument import OpCounts, emit_quantize
 from repro.utils.rng import RngLike
 
-__all__ = ["OpCounts", "int8_matmul", "Int8Engine"]
-
-
-def int8_matmul(
-    lhs_q: np.ndarray, rhs_q: np.ndarray, counts: Optional[OpCounts] = None
-) -> np.ndarray:
-    """Integer GEMM with INT32 accumulation (INT64 for wide operands).
-
-    This is the *reference* integer kernel: int8 operands accumulate in
-    int32, matching hardware MAC arrays (products are 16-bit, accumulation
-    32-bit never overflows for K < 2^16); wider integer operands
-    (int16/int32, used by the bit-width ablation) accumulate in int64.
-    Backend-routed execution goes through :func:`repro.runtime.dispatch.int8_gemm`
-    instead, which may pick a faster exact kernel.
-    """
-    if lhs_q.dtype.kind != "i" or rhs_q.dtype.kind != "i":
-        raise TypeError(
-            f"int8_matmul requires signed integer operands, got "
-            f"{lhs_q.dtype} and {rhs_q.dtype}"
-        )
-    if lhs_q.shape[-1] != rhs_q.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not match: {lhs_q.shape} @ {rhs_q.shape}"
-        )
-    result = integer_matmul(lhs_q, rhs_q)
-    if counts is not None:
-        macs = int(lhs_q.shape[0] * lhs_q.shape[-1] * rhs_q.shape[-1])
-        counts.int8_mul += macs
-        counts.int8_add += macs
-    return result
+__all__ = ["Int8Engine"]
 
 
 class Int8Engine:
@@ -72,16 +40,10 @@ class Int8Engine:
     def __init__(self, config: Optional[QuantConfig] = None, rng: RngLike = None):
         self.config = config if config is not None else QuantConfig()
         self._rng = self.config.rng(rng)
-        self.counts = OpCounts()
 
     # ------------------------------------------------------------------ #
     def _quantize(self, values: np.ndarray, axis: Optional[int] = None):
-        q, scale = quantize(values, self.config, axis=axis, rng=self._rng)
-        # Scale derivation: one comparison per element (max reduction) and the
-        # division/round per element count as FP32 work in Table IV's
-        # "quantization phase".
-        emit_quantize(int(values.size), self.counts)
-        return q, scale
+        return quantize(values, self.config, axis=axis, rng=self._rng)
 
     # ------------------------------------------------------------------ #
     def linear_forward(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -93,9 +55,7 @@ class Int8Engine:
         axis = 0 if self.config.per_channel else None
         x_q, x_scale = self._quantize(x)
         w_q, w_scale = self._quantize(weight, axis=axis)
-        acc = dispatch.int8_gemm(
-            x_q, np.ascontiguousarray(w_q.T), counts=self.counts
-        )
+        acc = dispatch.int8_gemm(x_q, np.ascontiguousarray(w_q.T))
         if self.config.per_channel and np.ndim(w_scale) == 1:
             rescale = float(x_scale) * np.asarray(w_scale)[None, :]
         else:
@@ -109,7 +69,6 @@ class Int8Engine:
         acc = dispatch.int8_gemm(
             np.ascontiguousarray(g_q.T),
             np.ascontiguousarray(x_q),
-            counts=self.counts,
         )
         return (acc.astype(np.float64) * (float(g_scale) * float(x_scale))).astype(
             np.float32
@@ -124,7 +83,7 @@ class Int8Engine:
         """
         c_q, c_scale = self._quantize(cols)
         w_q, w_scale = self._quantize(weight)
-        acc = dispatch.int8_depthwise(c_q, w_q, counts=self.counts)
+        acc = dispatch.int8_depthwise(c_q, w_q)
         return (acc.astype(np.float64) * (float(c_scale) * float(w_scale))).astype(
             np.float32
         )
@@ -135,7 +94,7 @@ class Int8Engine:
         """Depthwise weight gradient ``sum_p grad[p, c] * cols[p, c, k]`` in INT8."""
         g_q, g_scale = self._quantize(grad_matrix)
         c_q, c_scale = self._quantize(cols)
-        acc = dispatch.int8_depthwise_grad(g_q, c_q, counts=self.counts)
+        acc = dispatch.int8_depthwise_grad(g_q, c_q)
         return (acc.astype(np.float64) * (float(g_scale) * float(c_scale))).astype(
             np.float32
         )

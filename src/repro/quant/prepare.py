@@ -3,9 +3,7 @@
 ``prepare_int8`` walks a module tree and gives every :class:`Linear`,
 :class:`Conv2d`, and :class:`DepthwiseConv2d` its own :class:`Int8Engine`, so
 that their forward GEMM and weight-gradient GEMM execute with INT8 operands.
-``strip_int8`` removes the engines (restoring FP32 execution), and
-``collect_op_counts`` aggregates the per-layer operation counters for the
-hardware model.
+``strip_int8`` removes the engines (restoring FP32 execution).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Optional
 from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.quant.int8_ops import Int8Engine, OpCounts
+from repro.quant.int8_ops import Int8Engine
 from repro.quant.qconfig import QuantConfig
 from repro.utils.rng import RngLike, spawn_rngs
 
@@ -53,15 +51,3 @@ def is_int8_prepared(model: Module) -> bool:
     layers = quantizable_layers(model)
     return bool(layers) and all(layer.quant_engine is not None for layer in layers)
 
-
-def collect_op_counts(model: Module, reset: bool = False) -> OpCounts:
-    """Aggregate (and optionally reset) op counters across all engines."""
-    total = OpCounts()
-    for layer in quantizable_layers(model):
-        engine = layer.quant_engine
-        if engine is None:
-            continue
-        total.merge(engine.counts)
-        if reset:
-            engine.counts.reset()
-    return total

@@ -29,7 +29,14 @@ class QuantConfig:
         scale from data; ``None``/100 means plain absolute max.  GDAI8-style
         gradient quantization uses a high percentile to ignore outliers.
     seed:
-        Seed for the stochastic-rounding noise stream.
+        Seed for the stochastic-rounding noise stream of calls that pass no
+        generator: a standalone :func:`~repro.quant.suq.quantize` or
+        :func:`~repro.quant.suq.fake_quantize`, or an ``Int8Engine`` built
+        without ``rng``.  That stream is created once per config and shared
+        by all such calls.  Training never reads it: ``prepare_int8`` gives
+        each layer's ``Int8Engine`` a generator spawned from the trainer's
+        seed, and the INT8 gradient transforms take their own ``rng``, so
+        ``seed`` inside a trainer's ``quant_config`` has no effect.
     """
 
     bits: int = 8

@@ -12,10 +12,10 @@ One execution layer for every workload:
   preallocated scratch).  Select with the ``REPRO_BACKEND`` environment
   variable, :func:`set_default_backend`, a config's ``backend`` field or
   the CLI ``--backend`` flag; both backends are bit-identical.
-* :mod:`repro.runtime.instrument` exposes the dispatch layer's
-  instrumentation hooks — :class:`OpCounts`/:class:`OpCountingHook` for
-  Table IV op accounting and arbitrary observers for profiling — which see
-  every kernel whatever backend runs it.
+* :mod:`repro.runtime.instrument` is the module tap: an
+  :class:`Instrumentation` hook sees every module forward whatever backend
+  runs it.  The hardware profiler behind Table IV's op counts is such a
+  hook; per-step wall time is the executor's :mod:`repro.obs` spans.
 
 The plan/executor halves import the nn layer, which itself reports into
 ``repro.runtime.instrument``; they are therefore imported lazily (PEP 562)
@@ -41,13 +41,7 @@ from repro.runtime.dispatch import (
     set_default_backend,
     use_backend,
 )
-from repro.runtime.instrument import (
-    Instrumentation,
-    OpCountingHook,
-    OpCounts,
-    counting,
-    instrumented,
-)
+from repro.runtime.instrument import Instrumentation, instrumented
 
 _LAZY = {
     "KernelStep": "repro.runtime.plan",
@@ -86,9 +80,6 @@ __all__ = [
     "use_backend",
     "instrument",
     "Instrumentation",
-    "OpCounts",
-    "OpCountingHook",
-    "counting",
     "instrumented",
     "KernelStep",
     "ExecutionPlan",

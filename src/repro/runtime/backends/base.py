@@ -3,9 +3,9 @@
 A backend supplies the handful of dense kernels every execution path in the
 repo reduces to.  Callers (the nn layers, the training INT8 engine, the
 frozen serving kernels) never compute a GEMM themselves — they route through
-:mod:`repro.runtime.dispatch`, which picks the active backend and feeds the
-instrumentation hooks.  Adding a backend (a real accelerator) means
-implementing this protocol in one file and registering it.
+:mod:`repro.runtime.dispatch`, which picks the active backend.  Adding a
+backend (a real accelerator) means implementing this protocol in one file
+and registering it.
 """
 
 from __future__ import annotations

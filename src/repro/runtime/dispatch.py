@@ -7,10 +7,13 @@ GEMMs through the functions in this module.  Dispatch does three things:
 * resolve the **active backend** (explicit argument > thread-local
   override from :func:`use_backend` > ``REPRO_BACKEND`` env var > process
   default),
-* run the kernel on that backend,
-* report the operation to per-engine :class:`OpCounts` records and to any
-  registered :mod:`instrumentation <repro.runtime.instrument>` hooks — so op
-  accounting lives here exactly once, whatever backend executes.
+* check :func:`int8_gemm`'s operand dtypes and inner dimensions,
+* run the kernel on that backend.
+
+Nothing here counts operations.  Table IV's op counts come from the module
+tap (:func:`repro.hardware.profile_bundle` via
+:mod:`repro.runtime.instrument`), and per-step wall time from the
+executor's :mod:`repro.obs` spans.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.runtime import instrument
 from repro.runtime.backends import Backend, available_backends, get_backend
-from repro.runtime.instrument import OpCounts
 
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -93,23 +94,16 @@ def use_backend(backend: BackendLike) -> Iterator[Backend]:
 def matmul(
     a: np.ndarray, b: np.ndarray, backend: BackendLike = None
 ) -> np.ndarray:
-    """Full-precision GEMM ``a @ b`` (instrumented as FP32 MACs)."""
-    out = active_backend(backend).matmul(a, b)
-    if instrument.hooks_active():
-        instrument.emit_fp32_macs(
-            int(np.prod(a.shape[:-1], dtype=np.int64)) * int(a.shape[-1])
-            * int(b.shape[-1])
-        )
-    return out
+    """Full-precision GEMM ``a @ b``."""
+    return active_backend(backend).matmul(a, b)
 
 
 def int8_gemm(
     lhs_q: np.ndarray,
     rhs_q: np.ndarray,
-    counts: Optional[OpCounts] = None,
     backend: BackendLike = None,
 ) -> np.ndarray:
-    """Exact integer GEMM ``lhs_q @ rhs_q`` with MAC accounting.
+    """Exact integer GEMM ``lhs_q @ rhs_q``.
 
     Operands must be signed integers; the accumulator dtype is
     backend-specific (int32/int64, or float32 holding exact integers).
@@ -123,36 +117,25 @@ def int8_gemm(
         raise ValueError(
             f"inner dimensions do not match: {lhs_q.shape} @ {rhs_q.shape}"
         )
-    out = active_backend(backend).int8_gemm(lhs_q, rhs_q)
-    macs = int(lhs_q.shape[0] * lhs_q.shape[-1] * rhs_q.shape[-1])
-    instrument.emit_int8_macs(macs, counts)
-    return out
+    return active_backend(backend).int8_gemm(lhs_q, rhs_q)
 
 
 def int8_depthwise(
     cols_q: np.ndarray,
     weight_q: np.ndarray,
-    counts: Optional[OpCounts] = None,
     backend: BackendLike = None,
 ) -> np.ndarray:
-    """Exact integer depthwise inner product with MAC accounting."""
-    out = active_backend(backend).int8_depthwise(cols_q, weight_q)
-    macs = int(cols_q.shape[0] * cols_q.shape[1] * cols_q.shape[2])
-    instrument.emit_int8_macs(macs, counts)
-    return out
+    """Exact integer depthwise inner product."""
+    return active_backend(backend).int8_depthwise(cols_q, weight_q)
 
 
 def int8_depthwise_grad(
     grad_q: np.ndarray,
     cols_q: np.ndarray,
-    counts: Optional[OpCounts] = None,
     backend: BackendLike = None,
 ) -> np.ndarray:
-    """Exact integer depthwise weight gradient with MAC accounting."""
-    out = active_backend(backend).int8_depthwise_grad(grad_q, cols_q)
-    macs = int(cols_q.shape[0] * cols_q.shape[1] * cols_q.shape[2])
-    instrument.emit_int8_macs(macs, counts)
-    return out
+    """Exact integer depthwise weight gradient."""
+    return active_backend(backend).int8_depthwise_grad(grad_q, cols_q)
 
 
 def rowwise_quantized_gemm(
@@ -161,29 +144,21 @@ def rowwise_quantized_gemm(
     qmax: int = 127,
     rhs_f32: Optional[np.ndarray] = None,
     exact_f32: bool = False,
-    counts: Optional[OpCounts] = None,
     backend: BackendLike = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused per-row quantize + integer GEMM (serving hot path)."""
-    acc, scales = active_backend(backend).rowwise_quantized_gemm(
+    return active_backend(backend).rowwise_quantized_gemm(
         x, rhs_q, qmax, rhs_f32=rhs_f32, exact_f32=exact_f32
     )
-    instrument.emit_quantize(int(np.asarray(x).size), counts)
-    macs = int(np.asarray(x).shape[0] * rhs_q.shape[0] * rhs_q.shape[1])
-    instrument.emit_int8_macs(macs, counts)
-    return acc, scales
 
 
 def rowwise_quantize(
     values: np.ndarray,
     qmax: int = 127,
-    counts: Optional[OpCounts] = None,
     backend: BackendLike = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Materialized per-row quantization with scale-derivation accounting."""
-    q, scales = active_backend(backend).rowwise_quantize(values, qmax)
-    instrument.emit_quantize(int(np.asarray(values).size), counts)
-    return q, scales
+    """Materialized per-row quantization."""
+    return active_backend(backend).rowwise_quantize(values, qmax)
 
 
 __all__ = [

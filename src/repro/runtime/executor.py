@@ -19,14 +19,13 @@ pluggable backend, and every shipped backend is exact.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.module import Module
 from repro.obs import trace as obs_trace
-from repro.runtime import dispatch, instrument
+from repro.runtime import dispatch
 from repro.runtime.dispatch import BackendLike
 from repro.runtime.plan import ExecutionPlan, KernelStep, compile_plan
 
@@ -77,18 +76,18 @@ class PlanExecutor:
     def _run_step(self, step: KernelStep, hidden: np.ndarray) -> np.ndarray:
         """Execute one plan step.
 
-        The observability check is two thread-local/module attribute reads;
-        un-observed requests take the plain path, which is what keeps
+        The observability check is one thread-local attribute read;
+        untraced requests take the plain path, which is what keeps
         tracing-off overhead under the 1% guard.
         """
-        if obs_trace.has_active_trace() or instrument.hooks_active():
+        if obs_trace.has_active_trace():
             return self._run_step_observed(step, hidden)
         return step.module(hidden)
 
     def _run_step_observed(
         self, step: KernelStep, hidden: np.ndarray
     ) -> np.ndarray:
-        """Timed variant of :meth:`_run_step`: span + ``on_step`` emission.
+        """Traced variant of :meth:`_run_step`: one span per plan step.
 
         Attributes each step to the backend that runs it (the executor
         selection or the ambient default).
@@ -97,13 +96,8 @@ class PlanExecutor:
         cols = int(np.prod(hidden.shape[1:])) if hidden.ndim > 1 else 1
         name = f"unit{step.unit_index}.{step.kind}"
         with obs_trace.span(name, rows=rows, cols=cols) as attrs:
-            backend_name = dispatch.active_backend().name
-            start_s = perf_counter()
-            out = step.module(hidden)
-            duration_ms = (perf_counter() - start_s) * 1e3
-            attrs["backend"] = backend_name
-        instrument.emit_step(step, duration_ms, backend_name, rows)
-        return out
+            attrs["backend"] = dispatch.active_backend().name
+            return step.module(hidden)
 
     @contextmanager
     def inference_mode(self) -> Iterator[None]:

@@ -465,7 +465,6 @@ class MicroBatcher:
         batch = self._triage_batch(batch)
         if not batch:
             return
-        inputs = np.stack([request.sample for request in batch])
         # Traced requests get a coalesce-wait span; the first of them
         # "leads" the batch — the engine pass runs bound to its trace, so
         # per-KernelStep spans nest under its engine.predict.  The other
@@ -480,6 +479,10 @@ class MicroBatcher:
             )
         leader = traced[0] if traced else None
         try:
+            # Inside the try: a sample shaped unlike its batch-mates makes
+            # np.stack raise, and that error must reach every client of the
+            # batch rather than kill the worker thread.
+            inputs = np.stack([request.sample for request in batch])
             # Worker threads do not inherit the submitter's thread-local
             # backend override, so the config's backend selection is applied
             # here (None defers to the ambient runtime default).

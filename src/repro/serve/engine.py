@@ -37,9 +37,7 @@ from repro.models.registry import build_model
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNormBase
 from repro.obs import trace as obs_trace
-from repro.quant.int8_ops import OpCounts
 from repro.runtime import dispatch
-
 from repro.runtime.backends import exact_f32_possible
 from repro.runtime.dispatch import BackendLike
 from repro.runtime.executor import PlanExecutor
@@ -55,7 +53,7 @@ from repro.serve.export import (
 
 
 def rowwise_quantize(
-    values: np.ndarray, qmax: int = 127, counts: Optional[OpCounts] = None
+    values: np.ndarray, qmax: int = 127
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Quantize each row of ``values`` with its own scale (nearest rounding).
 
@@ -66,7 +64,7 @@ def rowwise_quantize(
     (deterministic and row-wise, so bit-identity across batch compositions is
     preserved) to keep the serving hot path off the float64 slow lane.
     """
-    return dispatch.rowwise_quantize(values, qmax, counts=counts)
+    return dispatch.rowwise_quantize(values, qmax)
 
 
 class FrozenInt8Kernel:
@@ -83,7 +81,6 @@ class FrozenInt8Kernel:
         self,
         weight_q: np.ndarray,
         weight_scale: np.ndarray,
-        counts: Optional[OpCounts] = None,
         qmax: int = 127,
         backend: BackendLike = None,
     ) -> None:
@@ -99,7 +96,6 @@ class FrozenInt8Kernel:
         # The hot path rescales in float32; precompute the narrowed scales.
         self._weight_scale32 = self.weight_scale.astype(np.float32)
         self.qmax = int(qmax)
-        self.counts = counts if counts is not None else OpCounts()
         self.backend = backend
         # Whether an exact-float32 GEMM is possible for this layer (see the
         # fast backend): every partial sum of K = reduce_dim products stays
@@ -125,9 +121,6 @@ class FrozenInt8Kernel:
             self._weight_qT_f32 = self.weight_qT.astype(np.float32)
         return self._weight_qT_f32
 
-    # Backwards-compatible alias (pre-1.4 name).
-    _rhs_f32_for = rhs_f32_for
-
     # ------------------------------------------------------------------ #
     def _rescale(self, acc: np.ndarray, row_scales: np.ndarray) -> np.ndarray:
         out = acc.astype(np.float32)
@@ -147,7 +140,6 @@ class FrozenInt8Kernel:
             qmax=self.qmax,
             rhs_f32=self.rhs_f32_for(backend),
             exact_f32=self._exact_f32,
-            counts=self.counts,
             backend=backend,
         )
         return self._rescale(acc, x_scales)
@@ -155,11 +147,9 @@ class FrozenInt8Kernel:
     def depthwise_forward(self, cols: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Depthwise inner product with INT8 operands (``weight`` ignored)."""
         c_q, c_scales = dispatch.rowwise_quantize(
-            cols, self.qmax, counts=self.counts, backend=self.backend
+            cols, self.qmax, backend=self.backend
         )
-        acc = dispatch.int8_depthwise(
-            c_q, self.weight_q, counts=self.counts, backend=self.backend
-        )
+        acc = dispatch.int8_depthwise(c_q, self.weight_q, backend=self.backend)
         return self._rescale(acc, c_scales)
 
     # ------------------------------------------------------------------ #
@@ -182,7 +172,6 @@ class FrozenInt8Kernel:
 def _restore_frozen_units(
     artifact: InferenceArtifact,
     bundle: ModelBundle,
-    counts: OpCounts,
     backend: BackendLike = None,
 ) -> List[Module]:
     """Rebuild the bundle's FF units with frozen INT8 kernels attached."""
@@ -213,7 +202,7 @@ def _restore_frozen_units(
                 )
                 module.weight.copy_(dequantized.reshape(module.weight.data.shape))
                 module.quant_engine = FrozenInt8Kernel(
-                    matrix, scale, counts=counts, backend=backend
+                    matrix, scale, backend=backend
                 )
                 frozen_names.add(f"{path}weight")
             elif isinstance(module, _BatchNormBase):
@@ -267,7 +256,6 @@ class Int8InferenceEngine:
         goodness: Optional[GoodnessFunction] = None,
         flatten_input: bool = False,
         skip_first_layer: Optional[bool] = None,
-        counts: Optional[OpCounts] = None,
         backend: BackendLike = None,
         input_shape: Optional[Tuple[int, ...]] = None,
     ) -> None:
@@ -282,7 +270,6 @@ class Int8InferenceEngine:
         if skip_first_layer is None:
             skip_first_layer = len(self.units) >= 2
         self.skip_first_layer = skip_first_layer
-        self.counts = counts if counts is not None else OpCounts()
         self.input_shape = tuple(input_shape) if input_shape else None
         for unit in self.units:
             unit.eval()
@@ -319,8 +306,7 @@ class Int8InferenceEngine:
                 f"bundle has {bundle.num_classes} classes but artifact stores "
                 f"{artifact.num_classes}"
             )
-        counts = OpCounts()
-        units = _restore_frozen_units(artifact, bundle, counts, backend=backend)
+        units = _restore_frozen_units(artifact, bundle, backend=backend)
         overlay = LabelOverlay(
             num_classes=artifact.num_classes, amplitude=artifact.overlay_amplitude
         )
@@ -330,7 +316,6 @@ class Int8InferenceEngine:
             goodness=build_goodness(artifact.goodness_name),
             flatten_input=artifact.flatten_input,
             skip_first_layer=artifact.skip_first_layer,
-            counts=counts,
             backend=backend,
             input_shape=artifact.input_shape,
         )
@@ -424,8 +409,7 @@ def frozen_classifier(
     """
     if bundle is None:
         bundle = _bundle_from_metadata(artifact)
-    counts = OpCounts()
-    units = _restore_frozen_units(artifact, bundle, counts, backend=backend)
+    units = _restore_frozen_units(artifact, bundle, backend=backend)
     overlay = LabelOverlay(
         num_classes=artifact.num_classes, amplitude=artifact.overlay_amplitude
     )

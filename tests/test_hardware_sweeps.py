@@ -10,7 +10,8 @@ from repro.hardware import (
     sweep_epochs,
 )
 from repro.models import build_mlp
-from repro.quant import QuantConfig, int8_matmul, quantize
+from repro.quant import QuantConfig, quantize
+from repro.runtime import dispatch
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +102,13 @@ class TestWideIntegerQuantization:
         rng = np.random.default_rng(2)
         a = rng.integers(-30000, 30000, size=(4, 6)).astype(np.int16)
         b = rng.integers(-30000, 30000, size=(6, 3)).astype(np.int16)
-        result = int8_matmul(a, b)
+        result = dispatch.int8_gemm(a, b, backend="reference")
         np.testing.assert_array_equal(result, a.astype(np.int64) @ b.astype(np.int64))
 
     def test_float_operands_still_rejected(self):
         with pytest.raises(TypeError):
-            int8_matmul(np.ones((2, 2), dtype=np.float64),
-                        np.ones((2, 2), dtype=np.int8))
+            dispatch.int8_gemm(np.ones((2, 2), dtype=np.float64),
+                               np.ones((2, 2), dtype=np.int8))
 
 
 def _roundtrip(values, bits):

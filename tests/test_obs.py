@@ -381,23 +381,25 @@ class TestServeMetricsBounded:
 class TestStepTiming:
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_timing_hook_never_changes_outputs(self, backend):
+        """Timing each step (the executor's traced path) is bit-neutral."""
         units = _mlp_units()
         x = np.random.default_rng(1).normal(size=(6, 64)).astype(np.float32)
         executor = PlanExecutor.for_units(units, flatten_input=True,
                                           backend=backend)
         baseline = executor.forward(x)
-        with instrument.step_timing() as hook:
+        enable_tracing()
+        trace = maybe_trace("engine.predict")
+        with use_trace(trace):
             observed = executor.forward(x)
+        finish_trace(trace)
         np.testing.assert_array_equal(baseline, observed)
-        timings = hook.timings()
-        # One aggregate per step, each attributed to the backend that ran it.
-        assert len(timings) == len(executor.plan.steps)
-        for (_, step_backend), timing in timings.items():
-            assert step_backend == backend
-            assert timing.calls == 1
-            assert timing.rows == 6
-            assert timing.total_ms >= 0.0
-        assert "backend" in hook.format_report()
+        # One timed span per step, each attributed to the backend that ran it.
+        step_spans = [s for s in trace.spans() if s.name.startswith("unit")]
+        assert len(step_spans) == len(executor.plan.steps)
+        for entry in step_spans:
+            assert entry.attrs["backend"] == backend
+            assert entry.attrs["rows"] == 6
+            assert entry.duration_ms >= 0.0
 
     def test_traced_forward_attributes_backends_to_steps(self):
         units = _mlp_units()
@@ -430,7 +432,7 @@ class TestStepTiming:
         def churn():
             try:
                 while not stop.is_set():
-                    hook = instrument.StepTimingHook()
+                    hook = instrument.Instrumentation()
                     instrument.register_hook(hook)
                     instrument.unregister_hook(hook)
             except Exception as error:  # pragma: no cover
@@ -450,6 +452,6 @@ class TestStepTiming:
         assert not instrument.hooks_active()
 
     def test_unregister_absent_hook_is_noop(self):
-        hook = instrument.StepTimingHook()
+        hook = instrument.Instrumentation()
         instrument.unregister_hook(hook)  # must not raise
         assert not instrument.hooks_active()

@@ -12,16 +12,13 @@ from repro.quant import (
     Int8Engine,
     MinMaxObserver,
     MovingAverageObserver,
-    OpCounts,
     PercentileObserver,
     QuantConfig,
     QuantizedTensor,
-    collect_op_counts,
     compute_scale,
     dequantize,
     fake_quantize,
     int8_config,
-    int8_matmul,
     is_int8_prepared,
     prepare_int8,
     quantizable_layers,
@@ -32,6 +29,12 @@ from repro.quant import (
     strip_int8,
 )
 from repro.quant.suq import CHUNK
+from repro.runtime import dispatch
+
+
+def reference_gemm(lhs_q, rhs_q):
+    """The reference backend's integer GEMM, with dispatch's operand checks."""
+    return dispatch.int8_gemm(lhs_q, rhs_q, backend="reference")
 
 
 class TestQuantConfig:
@@ -236,23 +239,17 @@ class TestInt8Matmul:
         rng = np.random.default_rng(6)
         a = rng.integers(-127, 128, size=(5, 8)).astype(np.int8)
         b = rng.integers(-127, 128, size=(8, 3)).astype(np.int8)
-        result = int8_matmul(a, b)
+        result = reference_gemm(a, b)
         assert result.dtype == np.int32
         np.testing.assert_array_equal(result, a.astype(np.int64) @ b.astype(np.int64))
 
     def test_requires_int8(self):
         with pytest.raises(TypeError):
-            int8_matmul(np.ones((2, 2), dtype=np.float32), np.ones((2, 2), dtype=np.int8))
+            reference_gemm(np.ones((2, 2), dtype=np.float32), np.ones((2, 2), dtype=np.int8))
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            int8_matmul(np.ones((2, 3), dtype=np.int8), np.ones((2, 3), dtype=np.int8))
-
-    def test_counts_updated(self):
-        counts = OpCounts()
-        int8_matmul(np.ones((2, 4), dtype=np.int8), np.ones((4, 3), dtype=np.int8), counts)
-        assert counts.int8_mul == 24
-        assert counts.int8_add == 24
+            reference_gemm(np.ones((2, 3), dtype=np.int8), np.ones((2, 3), dtype=np.int8))
 
 
 class TestInt8Engine:
@@ -276,13 +273,30 @@ class TestInt8Engine:
         error = np.abs(approx - exact).mean() / (np.abs(exact).mean() + 1e-9)
         assert error < 0.05
 
-    def test_op_counts_accumulate(self):
+    def test_op_counts_accumulate(self, monkeypatch):
+        """A linear forward is one INT8 GEMM over both quantized operands."""
+        from repro.quant import int8_ops
+
+        macs, quantized = [], []
+        gemm, quantize_fn = dispatch.int8_gemm, int8_ops.quantize
+
+        def gemm_spy(lhs_q, rhs_q, *args, **kwargs):
+            assert lhs_q.dtype == rhs_q.dtype == np.int8
+            macs.append(lhs_q.shape[0] * lhs_q.shape[1] * rhs_q.shape[1])
+            return gemm(lhs_q, rhs_q, *args, **kwargs)
+
+        def quantize_spy(values, *args, **kwargs):
+            quantized.append(values.size)
+            return quantize_fn(values, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "int8_gemm", gemm_spy)
+        monkeypatch.setattr(int8_ops, "quantize", quantize_spy)
         engine = Int8Engine(QuantConfig())
         x = np.ones((4, 6), dtype=np.float32)
         w = np.ones((3, 6), dtype=np.float32)
         engine.linear_forward(x, w)
-        assert engine.counts.int8_mul == 4 * 6 * 3
-        assert engine.counts.fp32_cmp > 0
+        assert macs == [4 * 6 * 3]
+        assert quantized == [4 * 6, 3 * 6]
 
     def test_per_channel_weights(self):
         rng = np.random.default_rng(9)
@@ -353,16 +367,6 @@ class TestPrepare:
         strip_int8(model)
         assert not is_int8_prepared(model)
 
-    def test_collect_op_counts(self):
-        model = Sequential(Linear(8, 4, rng=0))
-        prepare_int8(model, QuantConfig(), seed=0)
-        model(np.ones((2, 8), dtype=np.float32))
-        counts = collect_op_counts(model)
-        assert counts.int8_mul == 2 * 8 * 4
-        counts_again = collect_op_counts(model, reset=True)
-        assert counts_again.int8_mul == counts.int8_mul
-        assert collect_op_counts(model).int8_mul == 0
-
     def test_prepared_forward_close_to_fp32(self):
         rng = np.random.default_rng(11)
         model = Sequential(Linear(16, 8, rng=0))
@@ -372,12 +376,3 @@ class TestPrepare:
         approx = model(x)
         error = np.abs(approx - exact).mean() / (np.abs(exact).mean() + 1e-9)
         assert error < 0.05
-
-    def test_opcounts_merge_and_dict(self):
-        a = OpCounts(int8_mul=1, fp32_add=2)
-        b = OpCounts(int8_mul=3, fp32_cmp=4)
-        a.merge(b)
-        assert a.int8_mul == 4 and a.fp32_cmp == 4
-        assert a.as_dict()["fp32_add"] == 2
-        a.reset()
-        assert sum(a.as_dict().values()) == 0

@@ -13,8 +13,6 @@ from repro.models import build_mlp, build_model
 from repro.nn.linear import Linear
 from repro.quant import QuantConfig, prepare_int8
 from repro.runtime import (
-    OpCountingHook,
-    OpCounts,
     available_backends,
     compile_plan,
     get_backend,
@@ -109,7 +107,9 @@ class TestExecutor:
         assert len(outs) == 2
 
     def test_observed_run_executes_every_step_module_once(self):
-        """Step timing sees each module run exactly as the plain walk does."""
+        """A traced run executes each step module once, as the plain walk."""
+        from repro.obs import trace as obs_trace
+
         _, units = _mlp_units()
         for unit in units:
             unit.eval()
@@ -118,14 +118,16 @@ class TestExecutor:
         plain = executor.unit_outputs(x)
         seen = []
 
-        class Recorder(instrument.StepTimingHook):
+        class Recorder(instrument.Instrumentation):
             def on_module(self, module, inputs, output):
                 seen.append(module)
 
-        with instrument.step_timing(Recorder()) as hook:
+        trace = obs_trace.Trace(0, "test", 0.0, {})
+        with obs_trace.use_trace(trace), instrumented(Recorder()):
             observed = executor.unit_outputs(x)
         assert seen == [step.module for step in executor.plan.steps]
-        assert sum(t.calls for t in hook.timings().values()) == len(seen)
+        step_spans = [s for s in trace.spans() if s.name.startswith("unit")]
+        assert len(step_spans) == len(seen)
         for a, b in zip(plain, observed):
             np.testing.assert_array_equal(a, b)
 
@@ -347,52 +349,40 @@ class TestBackendParity:
 
 
 class TestInstrumentation:
-    def test_op_counting_hook_matches_engine_counts(self):
-        _, units = _mlp_units()
-        for index, unit in enumerate(units):
-            prepare_int8(unit, QuantConfig(rounding="nearest"), seed=index)
-        x = np.random.default_rng(3).normal(size=(4, 64)).astype(np.float32)
-        executor = PlanExecutor.for_units(units)
-        with instrument.counting() as observed:
-            executor.unit_outputs(x)
-        from repro.quant import collect_op_counts
-
-        engine_totals = OpCounts()
-        for unit in units:
-            engine_totals.merge(collect_op_counts(unit))
-        assert observed.int8_mul == engine_totals.int8_mul
-        assert observed.fp32_cmp == engine_totals.fp32_cmp
-
-    def test_step_timing_registers_in_the_hook_registry(self):
+    def test_instrumented_registers_in_the_hook_registry(self):
         assert not instrument.hooks_active()
-        with instrument.step_timing() as hook:
+        with instrumented(instrument.Instrumentation()) as hook:
             assert instrument.hooks_active()
             assert hook in instrument._HOOKS
         assert not instrument.hooks_active()
 
     def test_fp32_macs_counted_for_plain_linear(self):
+        """The profiler's module tap counts a plain (FP32) Linear's MACs."""
+        from repro.hardware.op_counter import ProfileHook
+
         layer = Linear(6, 4, rng=0)
         x = np.zeros((3, 6), dtype=np.float32)
-        hook = OpCountingHook()
-        with instrumented(hook):
+        with instrumented(ProfileHook(layer)) as hook:
             layer(x)
-        assert hook.counts.fp32_mul == 3 * 6 * 4
-        assert hook.counts.int8_mul == 0
+        assert [record.macs for record in hook.records] == [3 * 6 * 4]
 
     def test_hooks_observe_any_backend(self):
         _, units = _mlp_units()
-        for index, unit in enumerate(units):
-            prepare_int8(unit, QuantConfig(rounding="nearest"), seed=index)
         x = np.random.default_rng(4).normal(size=(2, 64)).astype(np.float32)
-        totals = {}
+        seen = {}
         for backend in ("reference", "fast"):
             for index, unit in enumerate(units):
                 prepare_int8(unit, QuantConfig(rounding="nearest"), seed=index)
-            with instrument.counting() as counts:
+            calls = seen[backend] = []
+
+            class Recorder(instrument.Instrumentation):
+                def on_module(self, module, inputs, output):
+                    calls.append((module, inputs.shape, output.tobytes()))
+
+            with instrumented(Recorder()):
                 PlanExecutor.for_units(units, backend=backend).unit_outputs(x)
-            totals[backend] = counts.as_dict()
-        assert totals["reference"] == totals["fast"]
-        assert totals["reference"]["int8_mul"] > 0
+        assert seen["reference"] == seen["fast"]
+        assert len(seen["reference"]) >= len(compile_plan(units).steps)
 
     def test_profile_identical_across_backends(self):
         from repro.hardware import profile_bundle
@@ -409,7 +399,7 @@ class TestInstrumentation:
                 == profiles["fast"].total_activation_elements)
 
     def test_unregister_is_idempotent(self):
-        hook = OpCountingHook()
+        hook = instrument.Instrumentation()
         instrument.register_hook(hook)
         instrument.unregister_hook(hook)
         instrument.unregister_hook(hook)

@@ -272,7 +272,7 @@ class TestFrozenKernel:
             FrozenInt8Kernel(np.zeros((4, 3), dtype=np.float32), np.float64(0.1))
 
     def test_exact_f32_gemm_matches_int32_gemm(self):
-        from repro.quant.int8_ops import int8_matmul
+        from repro.runtime import dispatch
 
         rng = np.random.default_rng(9)
         w_q = rng.integers(-127, 128, size=(8, 40)).astype(np.int8)
@@ -280,16 +280,36 @@ class TestFrozenKernel:
         assert kernel._exact_f32
         x_q = rng.integers(-127, 128, size=(21, 40)).astype(np.int8)
         exact = x_q.astype(np.float32) @ kernel.weight_qT.astype(np.float32)
-        reference = int8_matmul(x_q, kernel.weight_qT)
+        reference = dispatch.int8_gemm(x_q, kernel.weight_qT,
+                                       backend="reference")
         np.testing.assert_array_equal(exact.astype(np.int64),
                                       reference.astype(np.int64))
 
-    def test_engine_counts_int8_macs(self):
+    def test_engine_counts_int8_macs(self, monkeypatch):
+        """Every frozen layer's GEMM runs on INT8 weights, once per row."""
+        from repro.runtime import dispatch
+
+        macs = []
+        gemm = dispatch.rowwise_quantized_gemm
+
+        def spy(x, rhs_q, *args, **kwargs):
+            assert rhs_q.dtype == np.int8
+            macs.append(x.shape[0] * rhs_q.shape[0] * rhs_q.shape[1])
+            return gemm(x, rhs_q, *args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "rowwise_quantized_gemm", spy)
         artifact = _export(_mlp_h2, "sum_squares")
         engine = build_engine(artifact, _mlp_h2(seed=8))
         engine.predict(_inputs((1, 14, 14), 3))
-        assert engine.counts.int8_mul > 0
-        assert engine.counts.int8_mul == engine.counts.int8_add
+        kernels = [
+            module.quant_engine for unit in engine.units
+            for module in unit.modules()
+            if isinstance(getattr(module, "quant_engine", None),
+                          FrozenInt8Kernel)
+        ]
+        rows = 3 * engine.num_classes  # every label overlay folded in
+        assert len(macs) == len(kernels) == 2
+        assert macs == [rows * kernel.weight_q.size for kernel in kernels]
 
 
 def _train_checkpoint(directory, seed):

@@ -257,6 +257,22 @@ class TestMicroBatcher:
             with pytest.raises(RuntimeError, match="engine on fire"):
                 future.result(timeout=5.0)
 
+    def test_mismatched_sample_shapes_fail_the_batch_not_the_worker(self):
+        model = _CountingModel()
+        config = ServeConfig(max_batch_size=4, max_wait_ms=50.0,
+                             cache_capacity=0)
+        with MicroBatcher(model, config) as batcher:
+            # Both land in one batch, which np.stack cannot assemble.
+            futures = [batcher.submit(np.ones(3, dtype=np.float32)),
+                       batcher.submit(np.ones(4, dtype=np.float32))]
+            for future in futures:
+                with pytest.raises(ValueError):
+                    future.result(timeout=5.0)
+            assert batcher.inflight == 0
+            # The worker survived: a well-shaped request is still answered.
+            assert batcher.predict(np.ones(3, dtype=np.float32),
+                                   timeout=5.0) == 1
+
     def test_multiple_workers(self):
         model = _CountingModel(delay_s=0.001)
         samples = self._samples(48)
