@@ -1,9 +1,10 @@
 """Experiment E10 — ablation: exact vs approximate look-ahead gradients.
 
-DESIGN.md §5 documents the ambiguity in Equation 4: the exact gradient of the
-look-ahead loss requires propagating goodness signals through later layers
-("chained"), while the paper's cost claim corresponds to dropping the
-cross-layer terms ("local").  This ablation trains FF-INT8 under both
+Equation 4 admits two readings: the exact gradient of the look-ahead loss
+propagates goodness signals through later layers ("chained"), while
+dropping the cross-layer terms ("local") updates each layer from its own
+loss only.  Both cost one backward sweep per mini-batch (see
+:mod:`repro.core.lookahead`).  This ablation trains FF-INT8 under both
 interpretations plus the no-look-ahead baseline.
 """
 
@@ -62,7 +63,7 @@ def test_ablation_lookahead_mode(benchmark, bench_mnist):
 
     result = ExperimentResult(
         experiment_id="ablation_lookahead_mode",
-        paper_reference="Equation 4 / DESIGN.md section 5",
+        paper_reference="Equation 4",
         description="FF-INT8 accuracy with exact (chained) vs approximate "
                     "(local) look-ahead gradients",
         parameters={"epochs": EPOCHS},

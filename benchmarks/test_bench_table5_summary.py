@@ -4,8 +4,8 @@ The paper's headline table compares BP-FP32, BP-INT8, BP-UI8, BP-GDAI8 and
 FF-INT8 on four architectures.  This benchmark produces the same rows:
 
 * time / energy / memory come from the calibrated Jetson Orin Nano hardware
-  model applied to the paper-scale architectures (see DESIGN.md §2 for the
-  board substitution),
+  model applied to the paper-scale architectures (see
+  :mod:`repro.hardware.device` for the board substitution),
 * accuracy columns show the paper's reported values; measured accuracies for
   the reduced-scale NumPy runs are produced separately by the Table I /
   Figure 6 benchmarks and the accuracy-sweep example.

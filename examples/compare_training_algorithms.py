@@ -63,7 +63,7 @@ def main() -> None:
         float_format="{:.1f}",
     ))
     print("\nNote: absolute Jetson numbers come from the calibrated hardware "
-          "model (DESIGN.md section 2); the relative ordering is the result "
+          "model (repro.hardware.device); the relative ordering is the result "
           "the paper reports.")
 
 

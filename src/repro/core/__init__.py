@@ -29,8 +29,6 @@ from repro.core.goodness import (
 )
 from repro.core.lookahead import (
     LOOKAHEAD_MODES,
-    accumulate_chained_gradients,
-    accumulate_local_gradients,
     accumulate_lookahead_gradients,
     forward_through_units,
     unit_losses_and_grads,
@@ -64,8 +62,6 @@ __all__ = [
     "negative_loss_grad",
     "forward_through_units",
     "unit_losses_and_grads",
-    "accumulate_local_gradients",
-    "accumulate_chained_gradients",
     "accumulate_lookahead_gradients",
     "LOOKAHEAD_MODES",
     "SoftmaxReadout",

@@ -1,13 +1,15 @@
-"""Forward-Forward trainer (FP32 or INT8, greedy or simultaneous, ± look-ahead).
+"""Forward-Forward trainer (FP32 or INT8, ± look-ahead).
 
-One engine drives every FF variant discussed in the paper:
+One engine drives every FF variant discussed in the paper, all trained the
+way Algorithm 1 does: one forward pass per mini-batch through every unit,
+then one backward sweep that updates all units at once.
 
-* vanilla FF (Hinton 2022): greedy layer-by-layer training, FP32;
-* FF-INT8 (Section IV-B): the same greedy strategy with INT8 forward and
-  weight-gradient GEMMs and INT8-quantized activity gradients;
-* FF-INT8 with "look-ahead" (Section IV-C, Algorithm 1): one full forward
-  pass per mini-batch, all layers updated simultaneously with the
-  λ-augmented loss.
+* vanilla FF (Hinton 2022): FP32, each unit updated from its own loss
+  (look-ahead off, i.e. λ = 0);
+* FF-INT8 (Section IV-B): INT8 forward and weight-gradient GEMMs with
+  INT8-quantized activity gradients, still λ = 0;
+* FF-INT8 with "look-ahead" (Section IV-C): the λ-augmented loss of
+  :mod:`repro.core.lookahead`, λ following ``FFConfig.lambda_schedule``.
 
 The configuration object selects the variant; :mod:`repro.core.ff_int8`
 provides the pre-configured FF-INT8 entry points used by the benchmarks.
@@ -65,8 +67,6 @@ class FFConfig:
     lookahead: bool = False
     lookahead_mode: str = "chained"
     lambda_schedule: Optional[LambdaSchedule] = None
-    train_schedule: str = "simultaneous"
-    epochs_per_layer: Optional[int] = None
     evaluate_every: int = 1
     eval_max_samples: Optional[int] = 256
     train_eval_max_samples: Optional[int] = 128
@@ -76,16 +76,6 @@ class FFConfig:
     def __post_init__(self) -> None:
         if self.backend is not None:
             dispatch.get_backend(self.backend)  # fail fast on typos
-        if self.train_schedule not in ("simultaneous", "greedy"):
-            raise ValueError(
-                "train_schedule must be 'simultaneous' or 'greedy', "
-                f"got {self.train_schedule!r}"
-            )
-        if self.lookahead and self.train_schedule == "greedy":
-            raise ValueError(
-                "look-ahead requires the simultaneous schedule (Algorithm 1); "
-                "greedy layer-by-layer training cannot see later layers"
-            )
         if self.lambda_schedule is None:
             self.lambda_schedule = (
                 LinearLambda(initial=0.0, increment=0.001)
@@ -153,31 +143,24 @@ class ForwardForwardTrainer:
                 "theta": config.theta,
                 "lookahead": config.lookahead,
                 "lookahead_mode": config.lookahead_mode,
-                "train_schedule": config.train_schedule,
                 "int8": config.int8,
             },
         )
 
         with dispatch.use_backend(config.backend):
-            if config.train_schedule == "greedy":
-                self._fit_greedy(
-                    executor, units, optimizers, goodness, ff_loss, overlay,
-                    classifier, bundle, train_set, test_set, history, rng,
-                )
-            else:
-                self._fit_simultaneous(
-                    executor, units, optimizers, goodness, ff_loss, overlay,
-                    classifier, bundle, train_set, test_set, history, rng,
-                )
+            self._run_epochs(
+                executor, units, optimizers, goodness, ff_loss, overlay,
+                classifier, bundle, train_set, test_set, history, rng,
+            )
 
         history.metadata["units"] = units
         history.metadata["classifier"] = classifier
         return history
 
     # ------------------------------------------------------------------ #
-    # simultaneous schedule (Algorithm 1)
+    # training loop (Algorithm 1)
     # ------------------------------------------------------------------ #
-    def _fit_simultaneous(
+    def _run_epochs(
         self, executor, units, optimizers, goodness, ff_loss, overlay,
         classifier, bundle, train_set, test_set, history, rng,
     ) -> None:
@@ -227,6 +210,7 @@ class ForwardForwardTrainer:
             losses, activity_grads = unit_losses_and_grads(
                 activations, goodness, ff_loss, positive
             )
+            # The sweep also clears each unit's activation cache.
             if config.lookahead:
                 accumulate_lookahead_gradients(
                     units, activity_grads, lam, mode=config.lookahead_mode
@@ -236,73 +220,9 @@ class ForwardForwardTrainer:
                     units, activity_grads, 0.0, mode="local"
                 )
             step_losses.append(float(np.mean(losses)))
-            for unit in units:
-                unit.clear_cache()
 
         for optimizer in optimizers:
             optimizer.step()
-        return float(np.mean(step_losses))
-
-    # ------------------------------------------------------------------ #
-    # greedy schedule (vanilla FF / FF-INT8 without look-ahead)
-    # ------------------------------------------------------------------ #
-    def _fit_greedy(
-        self, executor, units, optimizers, goodness, ff_loss, overlay,
-        classifier, bundle, train_set, test_set, history, rng,
-    ) -> None:
-        config = self.config
-        epochs_per_layer = config.epochs_per_layer or max(
-            1, config.epochs // max(len(units), 1)
-        )
-        loader = DataLoader(
-            train_set, batch_size=config.batch_size, shuffle=True, rng=rng
-        )
-        global_epoch = 0
-        for layer_index, (unit, optimizer) in enumerate(zip(units, optimizers)):
-            for _ in range(epochs_per_layer):
-                epoch_losses: List[float] = []
-                for images, labels in loader:
-                    inputs = self._prepare_inputs(images, bundle)
-                    pos = overlay.positive(inputs, labels)
-                    neg, _ = overlay.negative(inputs, labels, rng=rng)
-                    loss = self._train_step_single_layer(
-                        executor, units, layer_index, unit, optimizer,
-                        goodness, ff_loss, pos, neg,
-                    )
-                    epoch_losses.append(loss)
-                self._record_epoch(
-                    history, classifier, train_set, test_set, global_epoch,
-                    float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                    lam=0.0, extra={"layer": float(layer_index)},
-                )
-                global_epoch += 1
-
-    def _train_step_single_layer(
-        self, executor, units, layer_index, unit, optimizer, goodness,
-        ff_loss, pos_batch, neg_batch,
-    ) -> float:
-        """Greedy update of one layer; earlier layers act as a frozen encoder.
-
-        The shared plan runs the first ``layer_index + 1`` units; caching is
-        enabled only on the unit being trained, so the frozen prefix holds no
-        backward state.  As in the simultaneous schedule, the positive and
-        negative gradients are accumulated into one balanced optimizer step.
-        """
-        unit.train()
-        unit.set_activation_caching(True)
-        for frozen in units[:layer_index]:
-            frozen.train()
-            frozen.set_activation_caching(False)
-        optimizer.zero_grad()
-        step_losses: List[float] = []
-        for positive, batch in ((True, pos_batch), (False, neg_batch)):
-            activity = executor.unit_outputs(batch, limit=layer_index + 1)[-1]
-            value = goodness.value(activity)
-            step_losses.append(ff_loss.mean_loss(value, positive))
-            grad = ff_loss.activity_grad(activity, goodness.grad, value, positive)
-            unit.backward(grad)
-            unit.clear_cache()
-        optimizer.step()
         return float(np.mean(step_losses))
 
     # ------------------------------------------------------------------ #
@@ -323,7 +243,6 @@ class ForwardForwardTrainer:
 
     def _record_epoch(
         self, history, classifier, train_set, test_set, epoch, mean_loss, lam,
-        extra: Optional[dict] = None,
     ) -> None:
         config = self.config
         test_acc = None
@@ -344,7 +263,6 @@ class ForwardForwardTrainer:
                 test_accuracy=test_acc,
                 lr=config.lr,
                 lambda_value=lam,
-                extra=extra or {},
             )
         )
         logger.debug(

@@ -10,33 +10,51 @@ layer *i*, the weight gradient can be rewritten as
 
     ``∂L_new,i/∂W_i = (1 − λ) · ∂L_i/∂W_i + λ · ∂S/∂W_i``
 
-where ``S = Σ_j L_j`` is the sum of **all** per-layer losses.  The second term
-is computable for every layer simultaneously with a single sweep that injects
-each layer's local activity gradient at its output and propagates downward —
-one forward pass and one gradient sweep per mini-batch, which is how
-Algorithm 1 keeps the cost at ``k × n`` derivative computations.
+where ``S = Σ_j L_j`` is the sum of **all** per-layer losses.
 
-Two modes are exposed (see DESIGN.md §5):
+One backward sweep per mini-batch computes it, which is how Algorithm 1
+keeps the cost at one forward pass and one gradient sweep.  A unit's
+backward is linear in its output gradient.  Let ``g_i`` be unit *i*'s own
+activity gradient and ``u_i`` the gradient arriving from deeper units.  Then
+the weight gradient above is that of the single signal ``p = g_i + λ·u_i``,
+while the gradient unit *i* sends down is still that of ``d = g_i + u_i``.
+The sweep walks each unit's module tree top-down carrying the pair (p, d):
+
+* every weighted layer accumulates its parameter gradients once, from p
+  (one INT8 weight-gradient GEMM and one quantization of its signal);
+* the input gradient of p is formed only while weighted layers remain below
+  in the unit, that of d only if a unit lies below;
+* where λ = 1, or in the top unit (``u = 0``), p and d are one signal and
+  every input gradient is formed once.
+
+So the bottom unit forms no input gradient at all, and neither does any
+unit in ``"local"`` mode or at λ = 0.
+
+Two modes are exposed:
 
 * ``"chained"`` — the exact decomposition above (default; reproduces the
   accuracy behaviour of Figure 6).
 * ``"local"``  — cross-layer terms dropped (``∂L_j/∂W_i ≈ 0`` for ``j ≠ i``);
-  every layer still updates from the shared forward pass, which is the
-  literal cost claim in the paper's text.
+  every layer updates from its own loss only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.goodness import GoodnessFunction
 from repro.core.losses import FFLoss
+from repro.nn.containers import ResidualAdd, Sequential, SqueezeExcite
 from repro.nn.module import Module
 from repro.runtime.executor import forward_through_units
 
 LOOKAHEAD_MODES = ("chained", "local")
+
+#: The (p, d) signal pair at one point of the sweep.  Either may be ``None``
+#: (not needed below this point); ``d is p`` when both are one signal.
+Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
 
 
 def unit_losses_and_grads(
@@ -59,36 +77,59 @@ def unit_losses_and_grads(
     return losses, grads
 
 
-def accumulate_local_gradients(
-    units: Sequence[Module],
-    activity_grads: Sequence[np.ndarray],
-    scale: float = 1.0,
-) -> None:
-    """Accumulate each unit's own-loss weight gradients (no cross-layer terms)."""
-    if scale == 0.0:
-        return
-    for unit, grad in zip(units, activity_grads):
-        unit.backward(grad if scale == 1.0 else grad * scale)
+def _zip(fn: Callable, a: Pair, b: Pair) -> Pair:
+    """Apply ``fn(a_k, b_k)`` to both signals, once when each pair is one."""
+    if a[1] is a[0] and b[1] is b[0]:
+        out = None if a[0] is None else fn(a[0], b[0])
+        return out, out
+    p = None if a[0] is None else fn(a[0], b[0])
+    d = None if a[1] is None else fn(a[1], b[1])
+    return p, d
 
 
-def accumulate_chained_gradients(
-    units: Sequence[Module],
-    activity_grads: Sequence[np.ndarray],
-    scale: float = 1.0,
-) -> None:
-    """Accumulate ``scale · ∂S/∂W`` for every unit with one downward sweep.
+def _map(fn: Callable, pair: Pair) -> Pair:
+    return _zip(lambda grad, _: fn(grad), pair, pair)
 
-    ``S`` is the sum of all per-unit losses; the sweep starts at the deepest
-    unit and injects each unit's local activity gradient on the way down.
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a + b).astype(np.float32)
+
+
+def _has_params(module: Module) -> bool:
+    return next(module.named_parameters(), None) is not None
+
+
+def _sweep(module: Module, pair: Pair, weighted_below: bool) -> Pair:
+    """Backward through ``module``: parameter gradients from p, input pair.
+
+    ``weighted_below`` says whether weighted layers precede ``module`` in
+    its unit; only then is p's input gradient formed.
     """
-    if scale == 0.0:
-        return
-    upstream: Optional[np.ndarray] = None
-    for unit, grad in zip(reversed(list(units)), reversed(list(activity_grads))):
-        total = grad if upstream is None else grad + upstream
-        if scale != 1.0:
-            total = total * scale if upstream is None else grad * scale + upstream
-        upstream = unit.backward(total)
+    if isinstance(module, Sequential):
+        layers = module.layers()
+        below = [weighted_below]
+        for layer in layers[:-1]:
+            below.append(below[-1] or _has_params(layer))
+        for layer, weighted in zip(reversed(layers), reversed(below)):
+            pair = _sweep(layer, pair, weighted)
+        return pair
+    if isinstance(module, ResidualAdd):
+        branch = _sweep(module.branch, pair, weighted_below)
+        return _zip(_add, branch, _sweep(module.shortcut, pair, weighted_below))
+    if isinstance(module, SqueezeExcite):
+        gate = _sweep(module.gate, _map(module.gate_grad, pair), weighted_below)
+        if not weighted_below:
+            pair = (None, pair[1])
+        return _zip(module.input_grad, pair, gate)
+    # A leaf: weighted layers split their backward, the rest have none.
+    if _has_params(module):
+        module.accumulate_param_grads(pair[0])
+        input_grad = module.input_grad
+    else:
+        input_grad = module.backward
+    if not weighted_below:
+        pair = (None, pair[1])
+    return _map(input_grad, pair)
 
 
 def accumulate_lookahead_gradients(
@@ -98,6 +139,9 @@ def accumulate_lookahead_gradients(
     mode: str = "chained",
 ) -> None:
     """Accumulate the look-ahead weight gradients for every unit.
+
+    One sweep, top unit first; each unit's activation cache is cleared as
+    soon as its part of the sweep is done.
 
     Parameters
     ----------
@@ -124,27 +168,17 @@ def accumulate_lookahead_gradients(
             f"got {len(units)} units but {len(activity_grads)} activity gradients"
         )
 
-    if mode == "local" or lam == 0.0:
-        accumulate_local_gradients(units, activity_grads, scale=1.0)
-        return
+    chained = mode == "chained" and lam > 0.0
+    upstream: Optional[np.ndarray] = None  # u_i, from the units above
+    for index in reversed(range(len(units))):
+        own = activity_grads[index]
+        if upstream is None:
+            p = d = own
+        else:
+            d = own + upstream
+            p = d if lam == 1.0 else own + lam * upstream
+        if not chained or index == 0:
+            d = None
+        upstream = _sweep(units[index], (p, d), weighted_below=False)[1]
+        units[index].clear_cache()
 
-    # Exact decomposition: (1 - λ) · local + λ · full-sum sweep.
-    local_part: Dict[int, np.ndarray] = {}
-    if lam < 1.0:
-        accumulate_local_gradients(units, activity_grads, scale=1.0)
-        for unit in units:
-            for param in unit.parameters():
-                if param.grad is not None:
-                    local_part[id(param)] = (1.0 - lam) * param.grad
-                    param.grad = None
-
-    accumulate_chained_gradients(units, activity_grads, scale=1.0)
-    for unit in units:
-        for param in unit.parameters():
-            if param.grad is not None:
-                param.grad = lam * param.grad
-            if id(param) in local_part:
-                if param.grad is None:
-                    param.grad = local_part[id(param)].copy()
-                else:
-                    param.grad += local_part[id(param)]

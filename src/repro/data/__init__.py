@@ -1,7 +1,8 @@
 """Datasets, loaders and Forward-Forward sample construction.
 
-All datasets are generated offline and deterministically (see DESIGN.md for
-the MNIST/CIFAR-10 substitution rationale).
+All datasets are generated offline and deterministically: synthetic
+stand-ins with the real MNIST/CIFAR-10 tensor shapes, so every experiment
+runs without a download (see :mod:`repro.data.synthetic`).
 """
 
 from repro.data.cifar10 import CIFAR10_SPEC, synthetic_cifar10

@@ -1,8 +1,8 @@
 """CIFAR-10-shaped synthetic dataset (3x32x32 RGB, 10 classes).
 
 Stand-in for the CIFAR-10 dataset used by the paper's convolutional
-benchmarks (MobileNet-V2, EfficientNet-B0, ResNet-18); see DESIGN.md for the
-substitution rationale.
+benchmarks (MobileNet-V2, EfficientNet-B0, ResNet-18), with the exact tensor
+shape, so the experiments run without a download.
 """
 
 from __future__ import annotations

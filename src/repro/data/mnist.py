@@ -2,7 +2,7 @@
 
 The paper trains its MLP experiments (Table I, Table IV, part of Table V and
 Figure 6a) on MNIST.  This module provides an offline, deterministic stand-in
-with the exact tensor shape; see DESIGN.md for the substitution rationale.
+with the exact tensor shape, so the experiments run without a download.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The paper's efficiency results (Tables IV and V) are measured on a physical
 Jetson Orin Nano; this package replaces the board with an analytical model
-calibrated to its specification (see DESIGN.md for the substitution note and
-:mod:`repro.hardware.device` for the calibration rationale).
+calibrated to its specification (see :mod:`repro.hardware.device` for the
+calibration rationale).
 """
 
 from repro.hardware.cost_model import (

@@ -67,7 +67,7 @@ class CostConstants:
     # this is why Table V's INT8/FP32 speedups are ~1.45x rather than the 4x
     # the MAC engine alone would give, and why the ratio is almost the same
     # for the 0.6 GMAC MLP and the 555 GMAC ResNet-18.  The constants below
-    # are fitted to Table V's relative behaviour (see DESIGN.md §2):
+    # are fitted to Table V's relative behaviour:
     #
     # * a backward layer step costs ~2x a forward step (two GEMMs plus graph
     #   traversal and gradient allocation),

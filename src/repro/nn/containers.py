@@ -111,13 +111,22 @@ class SqueezeExcite(Module):
         return (x * scale[:, :, None, None]).astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_squeezed = self.gate.backward(self.gate_grad(grad_output))
+        return self.input_grad(grad_output, grad_squeezed)
+
+    def gate_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient at the gate's output, the per-channel scale."""
+        return np.sum(grad_output * self._load("x"), axis=(2, 3))
+
+    def input_grad(
+        self, grad_output: np.ndarray, grad_squeezed: np.ndarray
+    ) -> np.ndarray:
+        """Input gradient, given the gate's gradient at the squeezed input."""
         x = self._load("x")
         scale = self._load("scale")
         height, width = x.shape[2], x.shape[3]
         # Gradient through the multiplicative gate.
         grad_x_direct = grad_output * scale[:, :, None, None]
-        grad_scale = np.sum(grad_output * x, axis=(2, 3))
-        grad_squeezed = self.gate.backward(grad_scale)
         grad_x_gate = (
             grad_squeezed[:, :, None, None]
             * np.ones_like(x)

@@ -101,12 +101,17 @@ class Conv2d(Module):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cols = self._load("cols")
-        input_shape = tuple(int(v) for v in self._load("input_shape"))
-        batch, _, out_h, out_w = grad_output.shape
-        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        grad_matrix = np.ascontiguousarray(grad_matrix, dtype=np.float32)
+        self.accumulate_param_grads(grad_output)
+        return self.input_grad(grad_output)
 
+    def _grad_matrix(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        return np.ascontiguousarray(grad_matrix, dtype=np.float32)
+
+    def accumulate_param_grads(self, grad_output: np.ndarray) -> None:
+        """Accumulate the weight and bias gradients of ``grad_output``."""
+        cols = self._load("cols")
+        grad_matrix = self._grad_matrix(grad_output)
         if self.quant_engine is not None:
             grad_weight = self.quant_engine.linear_weight_grad(grad_matrix, cols)
         else:
@@ -115,8 +120,11 @@ class Conv2d(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_matrix.sum(axis=0))
 
+    def input_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the input; no parameter gradient moves."""
+        input_shape = tuple(int(v) for v in self._load("input_shape"))
         weight_matrix = self.weight.data.reshape(self.out_channels, -1)
-        grad_cols = dispatch.matmul(grad_matrix, weight_matrix)
+        grad_cols = dispatch.matmul(self._grad_matrix(grad_output), weight_matrix)
         grad_input = col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding
         )
@@ -192,13 +200,17 @@ class DepthwiseConv2d(Module):
         return out.astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        cols = self._load("cols")
-        input_shape = tuple(int(v) for v in self._load("input_shape"))
-        channels = self.channels
-        kernel_area = self.kernel_size[0] * self.kernel_size[1]
-        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, channels)
-        grad_matrix = np.ascontiguousarray(grad_matrix, dtype=np.float32)
+        self.accumulate_param_grads(grad_output)
+        return self.input_grad(grad_output)
 
+    def _grad_matrix(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.channels)
+        return np.ascontiguousarray(grad_matrix, dtype=np.float32)
+
+    def accumulate_param_grads(self, grad_output: np.ndarray) -> None:
+        """Accumulate the weight and bias gradients of ``grad_output``."""
+        cols = self._load("cols")
+        grad_matrix = self._grad_matrix(grad_output)
         if self.quant_engine is not None:
             grad_weight = self.quant_engine.depthwise_weight_grad(grad_matrix, cols)
         else:
@@ -207,9 +219,13 @@ class DepthwiseConv2d(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(grad_matrix.sum(axis=0))
 
-        weight = self.weight.data.reshape(channels, kernel_area)
-        grad_cols = np.einsum("pc,ck->pck", grad_matrix, weight)
-        grad_cols = grad_cols.reshape(-1, channels * kernel_area)
+    def input_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the input; no parameter gradient moves."""
+        input_shape = tuple(int(v) for v in self._load("input_shape"))
+        kernel_area = self.kernel_size[0] * self.kernel_size[1]
+        weight = self.weight.data.reshape(self.channels, kernel_area)
+        grad_cols = np.einsum("pc,ck->pck", self._grad_matrix(grad_output), weight)
+        grad_cols = grad_cols.reshape(-1, self.channels * kernel_area)
         grad_input = col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding
         )

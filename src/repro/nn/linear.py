@@ -68,6 +68,11 @@ class Linear(Module):
         return out.astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate_param_grads(grad_output)
+        return self.input_grad(grad_output)
+
+    def accumulate_param_grads(self, grad_output: np.ndarray) -> None:
+        """Accumulate the weight and bias gradients of ``grad_output``."""
         x = self._load("x")
         grad_output = np.asarray(grad_output, dtype=np.float32)
         if self.quant_engine is not None:
@@ -77,19 +82,11 @@ class Linear(Module):
         self.weight.accumulate_grad(grad_weight)
         if self.bias is not None:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
+
+    def input_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the input; no parameter gradient moves."""
+        grad_output = np.asarray(grad_output, dtype=np.float32)
         return dispatch.matmul(grad_output, self.weight.data).astype(np.float32)
-
-    def local_weight_grad(
-        self, grad_output: np.ndarray, x: np.ndarray
-    ) -> np.ndarray:
-        """Weight gradient from explicit activations (Forward-Forward path).
-
-        FF never stores a cross-layer graph; the trainer passes the layer
-        input it already has in hand instead of relying on the cache.
-        """
-        if self.quant_engine is not None:
-            return self.quant_engine.linear_weight_grad(grad_output, x)
-        return dispatch.matmul(grad_output.T, x).astype(np.float32)
 
     def extra_repr(self) -> str:
         return (

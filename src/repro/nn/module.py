@@ -125,9 +125,10 @@ class Module:
     def set_activation_caching(self, enabled: bool) -> "Module":
         """Enable/disable storing forward activations for the backward pass.
 
-        Backpropagation trainers keep this on; Forward-Forward trainers turn
-        it off for every layer except the one currently being trained, which
-        is what produces the memory-footprint advantage measured in Table V.
+        Trainers keep this on; frozen inference (the serving engine) turns
+        it off so a forward pass allocates no backward state.  The
+        Forward-Forward sweep frees each unit's cache as soon as that unit's
+        gradients are done.
         """
         for module in self.modules():
             object.__setattr__(module, "cache_activations", enabled)

@@ -69,16 +69,21 @@ class _BatchNormBase(Module):
         return out.astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate_param_grads(grad_output)
+        return self.input_grad(grad_output)
+
+    def accumulate_param_grads(self, grad_output: np.ndarray) -> None:
+        """Accumulate the ``gamma`` and ``beta`` gradients of ``grad_output``."""
+        x_hat = self._load("x_hat")
+        axes = self._reduce_axes(grad_output)
+        self.gamma.accumulate_grad(np.sum(grad_output * x_hat, axis=axes))
+        self.beta.accumulate_grad(np.sum(grad_output, axis=axes))
+
+    def input_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient with respect to the input; no parameter gradient moves."""
         x_hat = self._load("x_hat")
         inv_std = self._load("inv_std")
         axes = self._reduce_axes(grad_output)
-        count = float(np.prod([grad_output.shape[axis] for axis in axes]))
-
-        grad_gamma = np.sum(grad_output * x_hat, axis=axes)
-        grad_beta = np.sum(grad_output, axis=axes)
-        self.gamma.accumulate_grad(grad_gamma)
-        self.beta.accumulate_grad(grad_beta)
-
         gamma_b = self._broadcast(self.gamma.data, grad_output.ndim)
         inv_std_b = self._broadcast(inv_std, grad_output.ndim)
         grad_xhat = grad_output * gamma_b
@@ -89,7 +94,6 @@ class _BatchNormBase(Module):
         grad_input = inv_std_b * (
             grad_xhat - mean_grad_xhat - x_hat * mean_grad_xhat_xhat
         )
-        del count  # count is folded into the means above
         return grad_input.astype(np.float32)
 
     def extra_repr(self) -> str:

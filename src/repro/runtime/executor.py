@@ -19,7 +19,7 @@ pluggable backend, and every shipped backend is exact.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -115,10 +115,8 @@ class PlanExecutor:
     # ------------------------------------------------------------------ #
     # core traversal
     # ------------------------------------------------------------------ #
-    def unit_outputs(
-        self, inputs: np.ndarray, limit: Optional[int] = None
-    ) -> List[np.ndarray]:
-        """Output activity of each unit (optionally only the first ``limit``).
+    def unit_outputs(self, inputs: np.ndarray) -> List[np.ndarray]:
+        """Output activity of each unit.
 
         This is the shared forward pass of Algorithm 1: one traversal,
         every unit's activity collected for goodness/loss evaluation.
@@ -127,8 +125,6 @@ class PlanExecutor:
         with dispatch.use_backend(self.backend):
             hidden = self._prepare(inputs)
             for step in self.plan.steps:
-                if limit is not None and step.unit_index >= limit:
-                    break
                 hidden = self._run_step(step, hidden)
                 if step.is_unit_output:
                     outputs.append(hidden)

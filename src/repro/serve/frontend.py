@@ -654,6 +654,14 @@ class ServeFrontend:
             return {"status": "error",
                     "error": "server has no model registry; "
                              "omit the model field"}
+        # Checked before the batcher: a batch stacks its samples, so one
+        # wrongly shaped sample would fail every request coalesced with it.
+        expected = self.supervisor.input_shape(model_key)
+        if expected is not None and sample.shape != expected:
+            return {"status": "error",
+                    "error": f"bad tensor frame: sample shape "
+                             f"{sample.shape} != model input shape "
+                             f"{expected}"}
         deadline_ms = float(
             header.get("deadline_ms") or self.config.default_deadline_ms
         )

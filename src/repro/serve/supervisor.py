@@ -43,7 +43,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -183,6 +183,22 @@ class ReplicaSupervisor:
     def has_model(self, key: str) -> bool:
         with self._lock:
             return key in self._sets
+
+    def input_shape(self, model: Optional[str] = None
+                    ) -> Optional[Tuple[int, ...]]:
+        """Sample shape declared by the engines serving ``model``, if any.
+
+        ``model`` routes as in :meth:`submit`.  ``None`` when no started
+        engine of that set declares an ``input_shape`` (bare callables).
+        """
+        replica_set = self._pick_set(model)
+        if replica_set is None:
+            return None
+        for replica in replica_set.replicas:
+            shape = getattr(replica.engine, "input_shape", None)
+            if shape:
+                return tuple(shape)
+        return None
 
     def add_model(self, key: str, engine_factory: EngineFactory,
                   num_replicas: Optional[int] = None) -> "ReplicaSupervisor":

@@ -12,7 +12,6 @@ from repro.core import (
     ForwardForwardTrainer,
     MeanSquaredGoodness,
     SumSquaredGoodness,
-    accumulate_chained_gradients,
     accumulate_lookahead_gradients,
     build_goodness,
     ff_fp32,
@@ -221,11 +220,12 @@ class TestLookaheadGradients:
             numeric = (upper - lower) / (2 * eps)
             assert analytic[i, j] == pytest.approx(numeric, rel=5e-2, abs=5e-4)
 
-    def test_chained_sweep_function(self):
+    def test_sweep_fills_every_gradient_and_frees_every_cache(self):
         units, x = self._units()
         _, _, grads = self._grads(units, x)
-        accumulate_chained_gradients(units, grads, scale=1.0)
+        accumulate_lookahead_gradients(units, grads, lam=0.5)
         assert all(p.grad is not None for u in units for p in u.parameters())
+        assert all(unit.cached_activation_bytes() == 0 for unit in units)
 
     def test_validation(self):
         units, x = self._units()
@@ -324,26 +324,6 @@ class TestFFTrainers:
         assert history.final_test_accuracy > 0.3
         assert history.metadata["int8"] is True
         assert history.metadata["lookahead"] is True
-
-    def test_greedy_schedule_trains_layer_by_layer(self, tiny_mnist):
-        train, test = tiny_mnist
-        bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
-                           hidden_units=32, seed=0)
-        config = FFConfig(epochs=4, batch_size=64, lr=0.02, int8=False,
-                          lookahead=False, train_schedule="greedy",
-                          epochs_per_layer=2, evaluate_every=1,
-                          eval_max_samples=48, train_eval_max_samples=16, seed=0)
-        history = ForwardForwardTrainer(config).fit(bundle, train, test)
-        layers_seen = [record.extra.get("layer") for record in history.records]
-        assert layers_seen == [0.0, 0.0, 1.0, 1.0]
-
-    def test_lookahead_requires_simultaneous_schedule(self):
-        with pytest.raises(ValueError, match="simultaneous"):
-            FFConfig(lookahead=True, train_schedule="greedy")
-
-    def test_invalid_schedule_name(self):
-        with pytest.raises(ValueError, match="train_schedule"):
-            FFConfig(train_schedule="layerwise")
 
     def test_factory_helpers(self):
         assert ff_int8_with_lookahead(epochs=1).config.lookahead is True

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import FFGoodnessClassifier
-from repro.core.ff_trainer import FFConfig
 from repro.data import ArrayDataset, DataLoader, LabelOverlay
 from repro.hardware import estimate_memory, profile_bundle
 from repro.hardware.cost_model import CostBreakdown, TrainingCostModel
@@ -103,10 +102,6 @@ class TestTrainingEdgeCases:
         assert trainer.config.epochs == 7
         assert trainer.config.theta == 3.0
         assert trainer.config.lr == 0.05
-
-    def test_ff_config_greedy_epochs_per_layer_default(self):
-        config = FFConfig(epochs=12, lookahead=False, train_schedule="greedy")
-        assert config.epochs_per_layer is None  # derived at fit time
 
     def test_classifier_explicit_no_skip(self):
         units = [Sequential(Linear(16, 8, rng=0)), Sequential(Linear(8, 8, rng=1))]

@@ -448,6 +448,39 @@ class TestFrontendWire:
                 # The connection survives errors.
                 assert client.predict(X) == int(X.sum()) % 10
 
+    def test_wrongly_shaped_sample_fails_alone(self):
+        """A sample off the engine's input shape never reaches a batch."""
+        batches = []
+
+        class ShapedEngine:
+            input_shape = (3,)
+
+            def predict(self, batch):
+                batches.append(batch.shape)
+                return np.asarray([int(s.sum()) % 10 for s in batch])
+
+        outcomes = {}
+
+        def one_request(index, sample):
+            with FrontendClient(*frontend.address) as client:
+                try:
+                    outcomes[index] = client.predict(sample)
+                except RuntimeError as error:
+                    outcomes[index] = error
+
+        samples = [np.full(3, float(k), dtype=np.float32) for k in range(4)]
+        samples.insert(2, np.ones(4, dtype=np.float32))
+        with _frontend(ShapedEngine, max_wait_ms=50.0) as frontend:
+            threads = [threading.Thread(target=one_request, args=item)
+                       for item in enumerate(samples)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert "shape (4,)" in str(outcomes.pop(2))
+        assert outcomes == {0: 0, 1: 3, 3: 6, 4: 9}
+        assert all(shape[1:] == (3,) for shape in batches)
+
     def test_deadline_exceeded_on_slow_replica(self):
         def slow_factory():
             return FaultyEngine(_sum_engine(),

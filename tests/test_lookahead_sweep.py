@@ -1,0 +1,177 @@
+"""The one-sweep look-ahead, pinned against the two-sweep formula it replaced.
+
+A unit's backward is linear in its output gradient, so the look-ahead
+weight gradient ``(1 − λ)·∂L_i/∂W_i + λ·∂S/∂W_i`` is the weight gradient of
+the single signal ``g_i + λ·u_i``.  These tests hold the sweep in
+:func:`accumulate_lookahead_gradients` to that identity (FP32), to the
+parameter gradients the two-sweep code produced bit for bit where both
+quantize the same signals (INT8, λ = 0 and ``"local"``), and to its cost:
+one weight-gradient GEMM per quantized layer and no input gradient below
+the bottom unit.
+"""
+
+import hashlib
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.core.goodness import build_goodness
+from repro.core.lookahead import (
+    accumulate_lookahead_gradients,
+    unit_losses_and_grads,
+)
+from repro.core.losses import FFLoss
+from repro.data import LabelOverlay
+from repro.models import build_model
+from repro.nn import conv
+from repro.quant.prepare import prepare_int8, quantizable_layers
+from repro.quant.qconfig import QuantConfig
+from repro.runtime.executor import PlanExecutor
+
+INPUT_SHAPES = {
+    "mlp-mini": (1, 14, 14),
+    "mobilenet_v2-mini": (3, 16, 16),
+    "resnet18-mini": (3, 16, 16),  # ResidualAdd with projection shortcuts
+    "efficientnet_b0-mini": (3, 16, 16),  # SqueezeExcite gates
+}
+
+
+def _setup(model, int8, batch=8, seed=0):
+    """FF units of ``model`` with a positive and a negative half-batch."""
+    shape = INPUT_SHAPES[model]
+    bundle = build_model(model, input_shape=shape, seed=seed)
+    units = bundle.ff_units()
+    if int8:
+        config = QuantConfig(bits=8, rounding="stochastic")
+        for index, unit in enumerate(units):
+            prepare_int8(unit, config, seed=seed + index)
+    rng = np.random.default_rng(seed)
+    images = rng.random((batch,) + shape, dtype=np.float32)
+    if bundle.flatten_input:
+        images = images.reshape(batch, -1)
+    labels = rng.integers(0, 10, size=batch)
+    overlay = LabelOverlay(num_classes=10)
+    halves = ((True, overlay.positive(images, labels)),
+              (False, overlay.negative(images, labels, rng=rng)[0]))
+    for unit in units:
+        unit.train()
+        unit.set_activation_caching(True)
+        unit.zero_grad()
+    return units, PlanExecutor.for_units(units), halves
+
+
+def _activity_grads(executor, batch, positive):
+    activations = executor.unit_outputs(batch)
+    return unit_losses_and_grads(
+        activations, build_goodness("sum_squares"), FFLoss(theta=2.0),
+        positive)[1]
+
+
+def _params(units):
+    return [param for unit in units for param in unit.parameters()]
+
+
+def _two_sweep(units, grads, lam, mode):
+    """The look-ahead as two full backward sweeps (the replaced formula).
+
+    Call with zeroed gradients: it rescales whatever ``param.grad`` holds.
+    """
+    if mode == "local" or lam == 0.0:
+        for unit, grad in zip(units, grads):
+            unit.backward(grad)
+        return
+    local = {}
+    if lam < 1.0:
+        for unit, grad in zip(units, grads):
+            unit.backward(grad)
+        for param in _params(units):
+            local[id(param)] = (1.0 - lam) * param.grad
+            param.grad = None
+    upstream = None
+    for unit, grad in zip(reversed(units), reversed(grads)):
+        upstream = unit.backward(grad if upstream is None else grad + upstream)
+    for param in _params(units):
+        param.grad = lam * param.grad
+        if id(param) in local:
+            param.grad += local[id(param)]
+
+
+@pytest.mark.parametrize("model", sorted(INPUT_SHAPES))
+@pytest.mark.parametrize("mode", ["chained", "local"])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_one_sweep_matches_two_sweep_formula_fp32(model, mode, lam):
+    """Equal up to float rounding, in every unit and parameter.
+
+    A conv bias ahead of BatchNorm has a true gradient of zero, so both
+    sides hold rounding noise there; ``atol`` is therefore relative to the
+    largest gradient in the same unit.
+    """
+    units, executor, halves = _setup(model, int8=False)
+    positive, batch = halves[0]
+    grads = _activity_grads(executor, batch, positive)
+    _two_sweep(units, grads, lam, mode)
+    expected = [[param.grad.copy() for param in unit.parameters()]
+                for unit in units]
+    for unit in units:
+        unit.zero_grad()
+    accumulate_lookahead_gradients(units, grads, lam, mode=mode)
+    for unit, wants in zip(units, expected):
+        scale = max(float(np.abs(want).max()) for want in wants)
+        for param, want in zip(unit.parameters(), wants):
+            np.testing.assert_allclose(param.grad, want, rtol=1e-5,
+                                       atol=1e-5 * scale, err_msg=param.name)
+
+
+def _int8_step_digest(lam, mode):
+    units, executor, halves = _setup("mobilenet_v2-mini", int8=True)
+    for positive, batch in halves:
+        grads = _activity_grads(executor, batch, positive)
+        accumulate_lookahead_gradients(units, grads, lam, mode=mode)
+    digest = hashlib.blake2b(digest_size=16)
+    for param in _params(units):
+        digest.update(np.ascontiguousarray(param.grad).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("lam, mode, expected", [
+    (0.0, "chained", "8f073ecbcd35cebf63c9d046b44e6d3a"),
+    (0.5, "local", "8f073ecbcd35cebf63c9d046b44e6d3a"),
+])
+def test_int8_local_gradients_match_two_sweep_digest(lam, mode, expected):
+    """Where no cross-unit term exists, the quantized signals are unchanged.
+
+    The digests were recorded with the two-sweep code: λ = 0 and
+    ``"local"`` quantize each unit's own activity gradient in both, in the
+    same order, so every parameter gradient is bit-identical.
+    """
+    assert _int8_step_digest(lam, mode) == expected
+
+
+def test_one_weight_gradient_per_layer_and_no_input_gradient_below_unit_0(
+        monkeypatch):
+    units, executor, halves = _setup("mobilenet_v2-mini", int8=True)
+    layers = [layer for unit in units for layer in quantizable_layers(unit)]
+    calls = {id(layer): 0 for layer in layers}
+    for layer in layers:
+        engine = layer.quant_engine
+        for name in ("linear_weight_grad", "depthwise_weight_grad"):
+            def spy(*args, _inner=getattr(engine, name), _key=id(layer)):
+                calls[_key] += 1
+                return _inner(*args)
+            monkeypatch.setattr(engine, name, spy)
+    col2im_callers = []
+
+    def col2im_spy(*args, _inner=conv.col2im):
+        col2im_callers.append(inspect.currentframe().f_back.f_locals["self"])
+        return _inner(*args)
+
+    monkeypatch.setattr(conv, "col2im", col2im_spy)
+    for positive, batch in halves:
+        grads = _activity_grads(executor, batch, positive)
+        calls.update((key, 0) for key in calls)
+        accumulate_lookahead_gradients(units, grads, 0.3, mode="chained")
+        assert set(calls.values()) == {1}
+    unit0 = {id(module) for module in units[0].modules()}
+    assert col2im_callers, "units above unit 0 propagate input gradients"
+    assert not any(id(caller) in unit0 for caller in col2im_callers)

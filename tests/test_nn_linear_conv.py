@@ -49,16 +49,18 @@ class TestLinear:
         x = np.random.default_rng(3).normal(size=(3, 7))
         check_parameter_gradients(layer, x)
 
-    def test_local_weight_grad_matches_backward(self):
+    def test_split_backward_matches_backward(self):
         rng = np.random.default_rng(4)
         layer = Linear(6, 3, rng=0)
         x = rng.normal(size=(5, 6)).astype(np.float32)
         grad_out = rng.normal(size=(5, 3)).astype(np.float32)
-        layer.zero_grad()
         layer(x)
-        layer.backward(grad_out)
-        direct = layer.local_weight_grad(grad_out, x)
-        np.testing.assert_allclose(direct, layer.weight.grad, rtol=1e-5)
+        grad_in = layer.backward(grad_out)
+        weight_grad = layer.weight.grad.copy()
+        layer.zero_grad()
+        layer.accumulate_param_grads(grad_out)
+        np.testing.assert_array_equal(layer.weight.grad, weight_grad)
+        np.testing.assert_array_equal(layer.input_grad(grad_out), grad_in)
 
     def test_backward_without_forward_raises(self):
         layer = Linear(4, 2, rng=0)

@@ -91,15 +91,6 @@ class TestExecutor:
         for a, b in zip(actual, expected):
             np.testing.assert_array_equal(a, b)
 
-    def test_limit_stops_at_unit_boundary(self):
-        _, units = _mlp_units(hidden_layers=3)
-        x = np.random.default_rng(1).normal(size=(2, 64)).astype(np.float32)
-        executor = PlanExecutor.for_units(units)
-        partial = executor.unit_outputs(x, limit=2)
-        assert len(partial) == 2
-        np.testing.assert_array_equal(partial[1],
-                                      executor.unit_outputs(x)[1])
-
     def test_forward_through_units_shim(self):
         _, units = _mlp_units()
         x = np.random.default_rng(2).normal(size=(3, 64)).astype(np.float32)
