@@ -19,26 +19,23 @@ from repro.training.schedules import ConstantLambda, LinearLambda
 EPOCHS = bench_epochs(18)
 
 VARIANTS = {
-    "no look-ahead": {"lookahead": False, "lambda_schedule": None},
-    "fixed lambda=0.05": {"lookahead": True,
-                          "lambda_schedule": ConstantLambda(0.05)},
-    "ramp 0.001/epoch (paper)": {"lookahead": True,
-                                 "lambda_schedule": LinearLambda(0.0, 0.001)},
-    "ramp 0.01/epoch": {"lookahead": True,
-                        "lambda_schedule": LinearLambda(0.0, 0.01)},
+    "no look-ahead": ConstantLambda(0.0),
+    "fixed lambda=0.05": ConstantLambda(0.05),
+    "ramp 0.001/epoch (paper)": LinearLambda(0.0, 0.001),
+    "ramp 0.01/epoch": LinearLambda(0.0, 0.01),
 }
 
 
 def _run(bench_mnist):
     train, test = bench_mnist
     accuracies = {}
-    for name, overrides in VARIANTS.items():
+    for name, schedule in VARIANTS.items():
         bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
                            hidden_units=64, seed=0)
         config = FFInt8Config(
             epochs=EPOCHS, batch_size=64, lr=0.02, overlay_amplitude=2.0,
             evaluate_every=EPOCHS, eval_max_samples=128,
-            train_eval_max_samples=32, seed=0, **overrides,
+            train_eval_max_samples=32, seed=0, lambda_schedule=schedule,
         )
         history = FFInt8Trainer(config).fit(bundle, train, test)
         accuracies[name] = 100.0 * history.final_test_accuracy

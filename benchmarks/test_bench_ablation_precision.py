@@ -14,6 +14,7 @@ from repro.analysis import ExperimentResult, format_table
 from repro.core import FFConfig, FFInt8Config, FFInt8Trainer, ForwardForwardTrainer
 from repro.models import build_mlp
 from repro.quant import QuantConfig
+from repro.training.schedules import LinearLambda
 
 EPOCHS = bench_epochs(18)
 BIT_WIDTHS = (4, 8, 16)
@@ -26,8 +27,9 @@ def _run(bench_mnist):
     fp32_bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
                             hidden_units=64, seed=0)
     fp32_config = FFConfig(
-        epochs=EPOCHS, batch_size=64, lr=0.02, int8=False, lookahead=True,
-        overlay_amplitude=2.0, evaluate_every=EPOCHS, eval_max_samples=128,
+        epochs=EPOCHS, batch_size=64, lr=0.02, int8=False,
+        lambda_schedule=LinearLambda(0.0, 0.001), overlay_amplitude=2.0,
+        evaluate_every=EPOCHS, eval_max_samples=128,
         train_eval_max_samples=32, seed=0,
     )
     fp32_history = ForwardForwardTrainer(fp32_config).fit(fp32_bundle, train, test)

@@ -15,7 +15,7 @@ from benchmarks._common import bench_epochs, emit, run_once, save_experiment
 from repro.analysis import ExperimentResult, format_table
 from repro.core import FFInt8Config, FFInt8Trainer
 from repro.models import build_mlp, build_model
-from repro.training.schedules import LinearLambda
+from repro.training.schedules import ConstantLambda, LinearLambda
 
 MLP_EPOCHS = bench_epochs(24)
 RESNET_EPOCHS = bench_epochs(8)
@@ -35,8 +35,8 @@ def _train_mlp_pair(bench_mnist):
         bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
                            hidden_units=64, seed=0)
         config = FFInt8Config(
-            epochs=MLP_EPOCHS, batch_size=64, lr=0.02, lookahead=lookahead,
-            lambda_schedule=MLP_LAMBDA if lookahead else None,
+            epochs=MLP_EPOCHS, batch_size=64, lr=0.02,
+            lambda_schedule=MLP_LAMBDA if lookahead else ConstantLambda(0.0),
             overlay_amplitude=2.0,
             evaluate_every=4, eval_max_samples=128, train_eval_max_samples=32,
             seed=0,
@@ -51,8 +51,8 @@ def _train_resnet_pair(bench_cifar):
     for lookahead in (False, True):
         bundle = build_model("resnet18-mini", input_shape=(3, 16, 16), seed=0)
         config = FFInt8Config(
-            epochs=RESNET_EPOCHS, batch_size=32, lr=0.01, lookahead=lookahead,
-            lambda_schedule=RESNET_LAMBDA if lookahead else None,
+            epochs=RESNET_EPOCHS, batch_size=32, lr=0.01,
+            lambda_schedule=RESNET_LAMBDA if lookahead else ConstantLambda(0.0),
             goodness="mean_squares", theta=0.5,
             overlay_amplitude=2.0, evaluate_every=2, eval_max_samples=64,
             train_eval_max_samples=16, seed=0,

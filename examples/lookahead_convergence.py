@@ -15,7 +15,7 @@ import argparse
 
 from repro import FFInt8Config, FFInt8Trainer, synthetic_mnist
 from repro.models import build_mlp
-from repro.training.schedules import LinearLambda
+from repro.training.schedules import ConstantLambda, LinearLambda
 
 
 def train_pair(epochs: int):
@@ -27,10 +27,11 @@ def train_pair(epochs: int):
         bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=2,
                            hidden_units=64, seed=0)
         config = FFInt8Config(
-            epochs=epochs, batch_size=64, lr=0.02, lookahead=lookahead,
+            epochs=epochs, batch_size=64, lr=0.02,
             # λ ramp scaled so the final λ matches the paper's ~0.13-0.18
-            # despite the shorter epoch budget.
-            lambda_schedule=LinearLambda(0.0, 0.25 / epochs) if lookahead else None,
+            # despite the shorter epoch budget; λ = 0 is no look-ahead.
+            lambda_schedule=(LinearLambda(0.0, 0.25 / epochs) if lookahead
+                             else ConstantLambda(0.0)),
             overlay_amplitude=2.0, evaluate_every=2, eval_max_samples=160,
             train_eval_max_samples=32, seed=0,
         )

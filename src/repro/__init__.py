@@ -6,8 +6,10 @@ commonly used entry points:
 
 * models: :func:`build_model` and the Table II architectures,
 * datasets: :func:`synthetic_mnist`, :func:`synthetic_cifar10`,
-* the FF-INT8 trainer (:class:`FFInt8Trainer`) and its baselines
-  (:class:`BPTrainer`, :func:`make_trainer`),
+* the FF-INT8 trainer (:class:`FFInt8Trainer`, look-ahead λ set by
+  ``lambda_schedule``; ``ConstantLambda(0.0)`` is vanilla FF) and its
+  baselines (:class:`ForwardForwardTrainer` for FP32 FF, :class:`BPTrainer`,
+  :func:`make_trainer`),
 * the Jetson Orin Nano hardware model (:class:`TrainingCostModel`),
 * the serving stack (:func:`export_artifact` → :class:`Int8InferenceEngine`
   → :class:`MicroBatcher`) for batched INT8 inference from frozen weights,
@@ -25,9 +27,6 @@ from repro.core import (
     FFInt8Config,
     FFInt8Trainer,
     ForwardForwardTrainer,
-    ff_fp32,
-    ff_int8_vanilla,
-    ff_int8_with_lookahead,
 )
 from repro.data import synthetic_cifar10, synthetic_mnist
 from repro.hardware import TrainingCostModel, build_table5_summary, profile_bundle
@@ -63,9 +62,6 @@ __all__ = [
     "ForwardForwardTrainer",
     "FFConfig",
     "FFGoodnessClassifier",
-    "ff_int8_with_lookahead",
-    "ff_int8_vanilla",
-    "ff_fp32",
     "BPTrainer",
     "BPConfig",
     "make_trainer",

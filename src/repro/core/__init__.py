@@ -1,8 +1,9 @@
 """FF-INT8 core: the paper's primary contribution.
 
 Contains the goodness functions, the Forward-Forward losses (Equations 1–2),
-the look-ahead gradient machinery (Equations 3–4, Algorithm 1), the trainers
-(vanilla FF, FF-INT8, FF-INT8 + look-ahead) and goodness-based classification.
+the look-ahead gradient sweep (Equations 3–4, Algorithm 1), the trainer
+(FP32 or INT8, look-ahead set by its λ schedule; λ = 0 is vanilla FF), its
+FF-INT8 preset and goodness-based classification.
 """
 
 from repro.core.checkpoint import (
@@ -13,13 +14,7 @@ from repro.core.checkpoint import (
     save_ff_checkpoint,
 )
 from repro.core.classifier import FFGoodnessClassifier
-from repro.core.ff_int8 import (
-    FFInt8Config,
-    FFInt8Trainer,
-    ff_fp32,
-    ff_int8_vanilla,
-    ff_int8_with_lookahead,
-)
+from repro.core.ff_int8 import FFInt8Config, FFInt8Trainer
 from repro.core.ff_trainer import FFConfig, ForwardForwardTrainer
 from repro.core.goodness import (
     GoodnessFunction,
@@ -28,9 +23,7 @@ from repro.core.goodness import (
     build_goodness,
 )
 from repro.core.lookahead import (
-    LOOKAHEAD_MODES,
     accumulate_lookahead_gradients,
-    forward_through_units,
     unit_losses_and_grads,
 )
 from repro.core.losses import (
@@ -41,15 +34,13 @@ from repro.core.losses import (
     positive_loss_grad,
 )
 from repro.core.readout import ReadoutConfig, SoftmaxReadout
+from repro.runtime.executor import forward_through_units
 
 __all__ = [
     "FFConfig",
     "ForwardForwardTrainer",
     "FFInt8Config",
     "FFInt8Trainer",
-    "ff_int8_with_lookahead",
-    "ff_int8_vanilla",
-    "ff_fp32",
     "FFGoodnessClassifier",
     "GoodnessFunction",
     "SumSquaredGoodness",
@@ -63,7 +54,6 @@ __all__ = [
     "forward_through_units",
     "unit_losses_and_grads",
     "accumulate_lookahead_gradients",
-    "LOOKAHEAD_MODES",
     "SoftmaxReadout",
     "ReadoutConfig",
     "FFCheckpoint",

@@ -94,7 +94,6 @@ def save_ff_checkpoint(
         "goodness": config.goodness,
         "overlay_amplitude": config.overlay_amplitude,
         "int8": config.int8,
-        "lookahead": config.lookahead,
     }
     save_json(metadata, archive_path(base, ".json"))
     return params_path

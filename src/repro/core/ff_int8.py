@@ -6,8 +6,8 @@ uniform quantization with stochastic rounding, INT32 accumulation), the
 simultaneous one-forward-pass-per-epoch schedule of Algorithm 1, and the
 "look-ahead" loss with λ ramped from 0 by 0.001 per epoch.
 
-``ff_int8_vanilla`` returns the ablation without look-ahead used by
-Figure 6's comparison.
+Figure 6's ablation without look-ahead is the same preset with
+``lambda_schedule=ConstantLambda(0.0)``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.ff_trainer import FFConfig, ForwardForwardTrainer
-from repro.quant.qconfig import QuantConfig
 from repro.training.schedules import LambdaSchedule, LinearLambda
 
 
@@ -24,53 +23,15 @@ from repro.training.schedules import LambdaSchedule, LinearLambda
 class FFInt8Config(FFConfig):
     """FF-INT8 defaults: INT8 execution + look-ahead (Sections IV-B/IV-C)."""
 
-    epochs: int = 60
-    lr: float = 0.02
-    theta: float = 2.0
     int8: bool = True
-    lookahead: bool = True
-    lookahead_mode: str = "chained"
-    lambda_schedule: Optional[LambdaSchedule] = None
-    quant_config: QuantConfig = field(
-        default_factory=lambda: QuantConfig(bits=8, rounding="stochastic")
+    # Paper Section V-A3: λ starts at 0 and grows by 0.001 per epoch.
+    lambda_schedule: LambdaSchedule = field(
+        default_factory=lambda: LinearLambda(0.0, 0.001)
     )
-
-    def __post_init__(self) -> None:
-        if self.lambda_schedule is None and self.lookahead:
-            # Paper Section V-A3: λ starts at 0 and grows by 0.001 per epoch.
-            self.lambda_schedule = LinearLambda(initial=0.0, increment=0.001)
-        super().__post_init__()
-
-    def algorithm_name(self) -> str:
-        return "FF-INT8" if self.lookahead else "FF-INT8 (no look-ahead)"
 
 
 class FFInt8Trainer(ForwardForwardTrainer):
     """Forward-Forward INT8 trainer with look-ahead (the paper's algorithm)."""
 
-    def __init__(self, config: Optional[FFInt8Config] = None, **overrides) -> None:
-        if config is None:
-            config = FFInt8Config(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config object or keyword overrides")
-        super().__init__(config)
-
-
-def ff_int8_with_lookahead(**overrides) -> FFInt8Trainer:
-    """FF-INT8 with the look-ahead scheme (the algorithm of Table V)."""
-    overrides.setdefault("lookahead", True)
-    return FFInt8Trainer(FFInt8Config(**overrides))
-
-
-def ff_int8_vanilla(**overrides) -> FFInt8Trainer:
-    """FF-INT8 without look-ahead (the ablation baseline of Figure 6)."""
-    overrides.setdefault("lookahead", False)
-    overrides.setdefault("lambda_schedule", None)
-    return FFInt8Trainer(FFInt8Config(**overrides))
-
-
-def ff_fp32(**overrides) -> ForwardForwardTrainer:
-    """Full-precision Forward-Forward trainer (Hinton 2022 baseline)."""
-    overrides.setdefault("int8", False)
-    overrides.setdefault("lookahead", False)
-    return ForwardForwardTrainer(FFConfig(**overrides))
+    def __init__(self, config: Optional[FFInt8Config] = None) -> None:
+        super().__init__(config if config is not None else FFInt8Config())

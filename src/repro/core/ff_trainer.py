@@ -1,18 +1,19 @@
-"""Forward-Forward trainer (FP32 or INT8, ± look-ahead).
+"""Forward-Forward trainer (FP32 or INT8, λ-scheduled look-ahead).
 
 One engine drives every FF variant discussed in the paper, all trained the
 way Algorithm 1 does: one forward pass per mini-batch through every unit,
 then one backward sweep that updates all units at once.
 
-* vanilla FF (Hinton 2022): FP32, each unit updated from its own loss
-  (look-ahead off, i.e. λ = 0);
-* FF-INT8 (Section IV-B): INT8 forward and weight-gradient GEMMs with
-  INT8-quantized activity gradients, still λ = 0;
-* FF-INT8 with "look-ahead" (Section IV-C): the λ-augmented loss of
-  :mod:`repro.core.lookahead`, λ following ``FFConfig.lambda_schedule``.
+* ``FFConfig.int8`` picks the arithmetic: FP32 (Hinton 2022) or FF-INT8's
+  INT8 forward and weight-gradient GEMMs with INT8-quantized activity
+  gradients (Section IV-B);
+* ``FFConfig.lambda_schedule`` is the look-ahead (Section IV-C): the sweep
+  of :mod:`repro.core.lookahead` trains on the λ-augmented loss with λ taken
+  from the schedule each epoch.  ``ConstantLambda(0.0)``, the default, is
+  plain layer-local FF.
 
-The configuration object selects the variant; :mod:`repro.core.ff_int8`
-provides the pre-configured FF-INT8 entry points used by the benchmarks.
+:mod:`repro.core.ff_int8` holds the paper's FF-INT8 preset: INT8 with λ
+ramped from 0 by 0.001 per epoch.
 
 Forward passes execute through the compiled plan of :mod:`repro.runtime`
 (one :class:`~repro.runtime.executor.PlanExecutor` per fit, kernel backend
@@ -44,7 +45,7 @@ from repro.runtime import dispatch
 from repro.runtime.executor import PlanExecutor
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.training.optim import Optimizer, build_optimizer
-from repro.training.schedules import ConstantLambda, LambdaSchedule, LinearLambda
+from repro.training.schedules import ConstantLambda, LambdaSchedule
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, new_rng
 
@@ -64,9 +65,9 @@ class FFConfig:
     overlay_amplitude: float = 1.0
     int8: bool = False
     quant_config: QuantConfig = field(default_factory=QuantConfig)
-    lookahead: bool = False
-    lookahead_mode: str = "chained"
-    lambda_schedule: Optional[LambdaSchedule] = None
+    lambda_schedule: LambdaSchedule = field(
+        default_factory=lambda: ConstantLambda(0.0)
+    )
     evaluate_every: int = 1
     eval_max_samples: Optional[int] = 256
     train_eval_max_samples: Optional[int] = 128
@@ -76,18 +77,10 @@ class FFConfig:
     def __post_init__(self) -> None:
         if self.backend is not None:
             dispatch.get_backend(self.backend)  # fail fast on typos
-        if self.lambda_schedule is None:
-            self.lambda_schedule = (
-                LinearLambda(initial=0.0, increment=0.001)
-                if self.lookahead
-                else ConstantLambda(0.0)
-            )
 
     def algorithm_name(self) -> str:
-        """Human-readable algorithm label."""
-        precision = "INT8" if self.int8 else "FP32"
-        suffix = "+LA" if self.lookahead else ""
-        return f"FF-{precision}{suffix}"
+        """Human-readable algorithm label; the per-epoch λ is in the history."""
+        return "FF-INT8" if self.int8 else "FF-FP32"
 
 
 class ForwardForwardTrainer:
@@ -141,8 +134,6 @@ class ForwardForwardTrainer:
                 "batch_size": config.batch_size,
                 "lr": config.lr,
                 "theta": config.theta,
-                "lookahead": config.lookahead,
-                "lookahead_mode": config.lookahead_mode,
                 "int8": config.int8,
             },
         )
@@ -197,7 +188,6 @@ class ForwardForwardTrainer:
         layer activities — the same balanced update used by reference FF
         implementations.
         """
-        config = self.config
         for unit in units:
             unit.train()
             unit.set_activation_caching(True)
@@ -211,14 +201,7 @@ class ForwardForwardTrainer:
                 activations, goodness, ff_loss, positive
             )
             # The sweep also clears each unit's activation cache.
-            if config.lookahead:
-                accumulate_lookahead_gradients(
-                    units, activity_grads, lam, mode=config.lookahead_mode
-                )
-            else:
-                accumulate_lookahead_gradients(
-                    units, activity_grads, 0.0, mode="local"
-                )
+            accumulate_lookahead_gradients(units, activity_grads, lam)
             step_losses.append(float(np.mean(losses)))
 
         for optimizer in optimizers:

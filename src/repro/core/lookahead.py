@@ -27,15 +27,9 @@ The sweep walks each unit's module tree top-down carrying the pair (p, d):
 * where λ = 1, or in the top unit (``u = 0``), p and d are one signal and
   every input gradient is formed once.
 
-So the bottom unit forms no input gradient at all, and neither does any
-unit in ``"local"`` mode or at λ = 0.
-
-Two modes are exposed:
-
-* ``"chained"`` — the exact decomposition above (default; reproduces the
-  accuracy behaviour of Figure 6).
-* ``"local"``  — cross-layer terms dropped (``∂L_j/∂W_i ≈ 0`` for ``j ≠ i``);
-  every layer updates from its own loss only.
+So the bottom unit forms no input gradient at all, and at λ = 0 no unit
+does: there p = g_i and every layer updates from its own loss only, which
+is plain layer-local FF.
 """
 
 from __future__ import annotations
@@ -48,9 +42,6 @@ from repro.core.goodness import GoodnessFunction
 from repro.core.losses import FFLoss
 from repro.nn.containers import ResidualAdd, Sequential, SqueezeExcite
 from repro.nn.module import Module
-from repro.runtime.executor import forward_through_units
-
-LOOKAHEAD_MODES = ("chained", "local")
 
 #: The (p, d) signal pair at one point of the sweep.  Either may be ``None``
 #: (not needed below this point); ``d is p`` when both are one signal.
@@ -136,7 +127,6 @@ def accumulate_lookahead_gradients(
     units: Sequence[Module],
     activity_grads: Sequence[np.ndarray],
     lam: float,
-    mode: str = "chained",
 ) -> None:
     """Accumulate the look-ahead weight gradients for every unit.
 
@@ -151,16 +141,9 @@ def accumulate_lookahead_gradients(
     activity_grads:
         ``∂L_i/∂y_i`` for each unit (from :func:`unit_losses_and_grads`).
     lam:
-        Look-ahead coefficient λ.  ``lam == 0`` reduces to plain layer-local
-        FF updates regardless of mode.
-    mode:
-        ``"chained"`` for the exact Equation 4 gradient, ``"local"`` to drop
-        cross-layer terms.
+        Look-ahead coefficient λ of Equation 3.  ``lam == 0`` is plain
+        layer-local FF.
     """
-    if mode not in LOOKAHEAD_MODES:
-        raise ValueError(
-            f"unknown look-ahead mode {mode!r}; expected one of {LOOKAHEAD_MODES}"
-        )
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if len(units) != len(activity_grads):
@@ -168,7 +151,7 @@ def accumulate_lookahead_gradients(
             f"got {len(units)} units but {len(activity_grads)} activity gradients"
         )
 
-    chained = mode == "chained" and lam > 0.0
+    chained = lam > 0.0
     upstream: Optional[np.ndarray] = None  # u_i, from the units above
     for index in reversed(range(len(units))):
         own = activity_grads[index]

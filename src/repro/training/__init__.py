@@ -2,7 +2,7 @@
 
 The Forward-Forward trainers (the paper's contribution) live in
 :mod:`repro.core`; this package provides the baselines they are compared
-against (BP-FP32, BP-INT8, BP-UI8, BP-GDAI8) plus optimizers, schedules,
+against (BP-FP32, BP-INT8, BP-UI8, BP-GDAI8) plus optimizers, λ schedules,
 gradient-quantization transforms, metrics and run histories.
 """
 
@@ -29,15 +29,7 @@ from repro.training.gradient_transforms import (
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.training.metrics import evaluate_classifier, prediction_entropy
 from repro.training.optim import SGD, Adam, Optimizer, build_optimizer
-from repro.training.schedules import (
-    ConstantLR,
-    ConstantLambda,
-    CosineLR,
-    LambdaSchedule,
-    LinearLambda,
-    LRSchedule,
-    StepLR,
-)
+from repro.training.schedules import ConstantLambda, LambdaSchedule, LinearLambda
 
 __all__ = [
     "BPTrainer",
@@ -53,10 +45,6 @@ __all__ = [
     "SGD",
     "Adam",
     "build_optimizer",
-    "LRSchedule",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
     "LambdaSchedule",
     "ConstantLambda",
     "LinearLambda",

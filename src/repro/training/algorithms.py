@@ -75,7 +75,7 @@ def make_trainer(algorithm: str, **kwargs):
     """Return a trainer instance for any of the five algorithm labels.
 
     BP-family labels return a :class:`BPTrainer`; ``"FF-INT8"`` returns a
-    :class:`repro.core.ff_int8.FFInt8Trainer` with look-ahead enabled (the
+    :class:`repro.core.ff_int8.FFInt8Trainer` with the paper's λ ramp (the
     configuration evaluated in Table V).
     """
     label = algorithm.upper()

@@ -23,7 +23,6 @@ from repro.training.gradient_transforms import GradientTransform
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.training.metrics import evaluate_classifier
 from repro.training.optim import build_optimizer
-from repro.training.schedules import ConstantLR, LRSchedule
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, new_rng
 
@@ -44,7 +43,6 @@ class BPConfig:
     int8_forward: bool = False
     quantize_backward_signal: Optional[bool] = None
     quant_config: QuantConfig = field(default_factory=QuantConfig)
-    lr_schedule: Optional[LRSchedule] = None
     evaluate_every: int = 1
     divergence_loss_threshold: float = 50.0
     seed: int = 0
@@ -95,7 +93,6 @@ class BPTrainer:
             )
 
         optimizer = self._build_optimizer(model)
-        schedule = config.lr_schedule or ConstantLR(config.lr)
         loss_fn = CrossEntropyLoss(train_set.num_classes)
         loader = DataLoader(
             train_set, batch_size=config.batch_size, shuffle=True, rng=rng
@@ -115,7 +112,6 @@ class BPTrainer:
         )
 
         for epoch in range(config.epochs):
-            optimizer.set_lr(schedule.lr_at(epoch))
             epoch_loss, epoch_acc, diverged = self._run_epoch(
                 model, loader, loss_fn, optimizer, transform, bundle.flatten_input
             )

@@ -33,12 +33,6 @@ class Optimizer:
                 continue
             self._update(param)
 
-    def set_lr(self, lr: float) -> None:
-        """Override the base learning rate (used by schedulers)."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
     def set_lr_scale(self, scale: float) -> None:
         """Multiplicative LR modifier (used by UI8's deviation counteraction)."""
         if scale <= 0:

@@ -1,64 +1,6 @@
-"""Learning-rate and λ (look-ahead coefficient) schedules."""
+"""λ (look-ahead coefficient) schedules."""
 
 from __future__ import annotations
-
-import math
-
-
-class LRSchedule:
-    """Base class: maps an epoch index to a learning rate."""
-
-    def __init__(self, base_lr: float) -> None:
-        if base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {base_lr}")
-        self.base_lr = float(base_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        """Learning rate to use during ``epoch`` (0-based)."""
-        raise NotImplementedError
-
-
-class ConstantLR(LRSchedule):
-    """Fixed learning rate."""
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr
-
-
-class StepLR(LRSchedule):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, base_lr: float, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(base_lr)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class CosineLR(LRSchedule):
-    """Cosine annealing from ``base_lr`` to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, base_lr: float, total_epochs: int, min_lr: float = 0.0) -> None:
-        super().__init__(base_lr)
-        if total_epochs <= 0:
-            raise ValueError(f"total_epochs must be positive, got {total_epochs}")
-        if min_lr < 0 or min_lr > base_lr:
-            raise ValueError(
-                f"min_lr must lie in [0, base_lr], got {min_lr} (base_lr={base_lr})"
-            )
-        self.total_epochs = total_epochs
-        self.min_lr = float(min_lr)
-
-    def lr_at(self, epoch: int) -> float:
-        progress = min(epoch, self.total_epochs) / self.total_epochs
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
 
 
 class LambdaSchedule:
@@ -74,7 +16,7 @@ class LambdaSchedule:
 
 
 class ConstantLambda(LambdaSchedule):
-    """Fixed λ (used by ablations)."""
+    """Fixed λ; ``ConstantLambda(0.0)`` (``FFConfig``'s default) is plain FF."""
 
     def __init__(self, value: float) -> None:
         if value < 0:

@@ -14,9 +14,6 @@ from repro.core import (
     SumSquaredGoodness,
     accumulate_lookahead_gradients,
     build_goodness,
-    ff_fp32,
-    ff_int8_vanilla,
-    ff_int8_with_lookahead,
     forward_through_units,
     negative_loss,
     negative_loss_grad,
@@ -24,6 +21,7 @@ from repro.core import (
     positive_loss_grad,
     unit_losses_and_grads,
 )
+from repro.core import ff_trainer
 from repro.data import LabelOverlay
 from repro.models import build_mlp
 from repro.nn import Linear, ReLU, Sequential
@@ -134,9 +132,10 @@ class TestLookaheadGradients:
         assert [a.shape[1] for a in activations] == [10, 8, 6]
 
     def test_local_mode_matches_per_unit_backward(self):
+        """λ = 0 is plain layer-local FF: each unit's own backward."""
         units, x = self._units()
         _, _, grads = self._grads(units, x)
-        accumulate_lookahead_gradients(units, grads, lam=0.0, mode="local")
+        accumulate_lookahead_gradients(units, grads, lam=0.0)
         local_grads = {
             (index, name): p.grad.copy()
             for index, u in enumerate(units)
@@ -153,31 +152,17 @@ class TestLookaheadGradients:
                     local_grads[(index, name)], p2.grad, rtol=1e-5
                 )
 
-    def test_lambda_zero_chained_equals_local(self):
-        units_a, x = self._units()
-        _, _, grads_a = self._grads(units_a, x)
-        accumulate_lookahead_gradients(units_a, grads_a, lam=0.0, mode="chained")
-
-        units_b, _ = self._units()
-        _, _, grads_b = self._grads(units_b, x)
-        accumulate_lookahead_gradients(units_b, grads_b, lam=0.0, mode="local")
-
-        for unit_a, unit_b in zip(units_a, units_b):
-            for (_, pa), (_, pb) in zip(unit_a.named_parameters(),
-                                        unit_b.named_parameters()):
-                np.testing.assert_allclose(pa.grad, pb.grad, rtol=1e-5)
-
     def test_chained_adds_cross_layer_terms_to_early_layers(self):
         """With λ > 0 the first layer's gradient must change; the last must not."""
         units_a, x = self._units()
         _, _, grads_a = self._grads(units_a, x)
-        accumulate_lookahead_gradients(units_a, grads_a, lam=0.0, mode="chained")
+        accumulate_lookahead_gradients(units_a, grads_a, lam=0.0)
         first_zero = units_a[0].parameters()[0].grad.copy()
         last_zero = units_a[-1].parameters()[0].grad.copy()
 
         units_b, _ = self._units()
         _, _, grads_b = self._grads(units_b, x)
-        accumulate_lookahead_gradients(units_b, grads_b, lam=0.5, mode="chained")
+        accumulate_lookahead_gradients(units_b, grads_b, lam=0.5)
         first_half = units_b[0].parameters()[0].grad
         last_half = units_b[-1].parameters()[0].grad
 
@@ -202,7 +187,7 @@ class TestLookaheadGradients:
         _, _, grads = self._grads(units, x)
         for unit in units:
             unit.zero_grad()
-        accumulate_lookahead_gradients(units, grads, lam=lam, mode="chained")
+        accumulate_lookahead_gradients(units, grads, lam=lam)
         weight = units[0].layers()[0].weight
         analytic = weight.grad.copy()
 
@@ -230,8 +215,6 @@ class TestLookaheadGradients:
     def test_validation(self):
         units, x = self._units()
         _, _, grads = self._grads(units, x)
-        with pytest.raises(ValueError, match="mode"):
-            accumulate_lookahead_gradients(units, grads, 0.1, mode="global")
         with pytest.raises(ValueError, match="lambda"):
             accumulate_lookahead_gradients(units, grads, 1.5)
         with pytest.raises(ValueError, match="units"):
@@ -305,7 +288,7 @@ class TestFFTrainers:
         bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=1,
                            hidden_units=64, seed=0)
         config = FFConfig(epochs=20, batch_size=64, lr=0.02, int8=False,
-                          lookahead=False, overlay_amplitude=2.0,
+                          overlay_amplitude=2.0,
                           evaluate_every=20, eval_max_samples=96,
                           train_eval_max_samples=32, seed=0)
         history = ForwardForwardTrainer(config).fit(bundle, train, test)
@@ -323,21 +306,38 @@ class TestFFTrainers:
         history = FFInt8Trainer(config).fit(bundle, train, test)
         assert history.final_test_accuracy > 0.3
         assert history.metadata["int8"] is True
-        assert history.metadata["lookahead"] is True
-
-    def test_factory_helpers(self):
-        assert ff_int8_with_lookahead(epochs=1).config.lookahead is True
-        assert ff_int8_vanilla(epochs=1).config.lookahead is False
-        assert ff_fp32(epochs=1).config.int8 is False
+        assert [record.lambda_value for record in history.records] == [
+            pytest.approx(0.001 * epoch) for epoch in range(25)
+        ]
 
     def test_config_default_lambda_schedule(self):
         config = FFInt8Config(epochs=1)
         assert config.lambda_schedule.value_at(0) == 0.0
         assert config.lambda_schedule.value_at(100) == pytest.approx(0.1)
+        # Per-instance schedules: patching one config's leaves the others.
+        assert config.lambda_schedule is not FFInt8Config().lambda_schedule
+        assert FFConfig().lambda_schedule.value_at(100) == 0.0
 
-    def test_config_rejects_double_specification(self):
-        with pytest.raises(ValueError, match="either"):
-            FFInt8Trainer(FFInt8Config(epochs=1), epochs=2)
+    def test_sweep_receives_the_scheduled_lambda(self, tiny_mnist, monkeypatch):
+        """The λ the history records is the λ the sweep trains with."""
+        train, _ = tiny_mnist
+        bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=1,
+                           hidden_units=16, seed=0)
+        received = []
+        sweep = ff_trainer.accumulate_lookahead_gradients
+
+        def spy(units, activity_grads, lam):
+            received.append(lam)
+            return sweep(units, activity_grads, lam)
+
+        monkeypatch.setattr(ff_trainer, "accumulate_lookahead_gradients", spy)
+        config = FFConfig(epochs=1, batch_size=128,
+                          lambda_schedule=ConstantLambda(0.25),
+                          evaluate_every=5, seed=0)
+        history = ForwardForwardTrainer(config).fit(bundle, train)
+        assert received
+        assert set(received) == {
+            record.lambda_value for record in history.records} == {0.25}
 
     def test_lambda_value_recorded_in_history(self, tiny_mnist):
         train, test = tiny_mnist

@@ -16,7 +16,7 @@ from repro.models import build_mlp, scaled_width
 from repro.nn import Linear, ReLU, ResidualAdd, Sequential
 from repro.nn.norm import FFLayerNorm
 from repro.quant import QuantConfig
-from repro.training import CosineLR, make_trainer
+from repro.training import make_trainer
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.utils import spawn_rngs
 from repro.analysis import ExperimentResult
@@ -83,11 +83,6 @@ class TestDataEdgeCases:
 
 
 class TestTrainingEdgeCases:
-    def test_cosine_lr_monotone_decreasing(self):
-        schedule = CosineLR(1.0, total_epochs=20, min_lr=0.0)
-        values = [schedule.lr_at(epoch) for epoch in range(21)]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
     def test_history_as_dict_filters_objects(self):
         history = TrainingHistory("FF-INT8", "mlp", "mnist")
         history.append(EpochRecord(1, 0.5, 0.6, 0.55))

@@ -5,9 +5,13 @@ weight gradient ``(1 − λ)·∂L_i/∂W_i + λ·∂S/∂W_i`` is the weight gr
 the single signal ``g_i + λ·u_i``.  These tests hold the sweep in
 :func:`accumulate_lookahead_gradients` to that identity (FP32), to the
 parameter gradients the two-sweep code produced bit for bit where both
-quantize the same signals (INT8, λ = 0 and ``"local"``), and to its cost:
-one weight-gradient GEMM per quantized layer and no input gradient below
-the bottom unit.
+quantize the same signals (INT8, λ = 0), and to its cost: one
+weight-gradient GEMM per quantized layer and no input gradient below the
+bottom unit.
+
+The two-sweep formula also had a ``"local"`` reading that drops the
+cross-unit terms; it is λ = 0 at every λ, which is why λ is the only
+look-ahead control.
 """
 
 import hashlib
@@ -72,12 +76,14 @@ def _params(units):
     return [param for unit in units for param in unit.parameters()]
 
 
-def _two_sweep(units, grads, lam, mode):
+def _two_sweep(units, grads, lam, formula):
     """The look-ahead as two full backward sweeps (the replaced formula).
 
-    Call with zeroed gradients: it rescales whatever ``param.grad`` holds.
+    ``formula`` is ``"chained"`` (Equation 4) or ``"local"`` (cross-unit
+    terms dropped).  Call with zeroed gradients: it rescales whatever
+    ``param.grad`` holds.
     """
-    if mode == "local" or lam == 0.0:
+    if formula == "local" or lam == 0.0:
         for unit, grad in zip(units, grads):
             unit.backward(grad)
         return
@@ -98,24 +104,26 @@ def _two_sweep(units, grads, lam, mode):
 
 
 @pytest.mark.parametrize("model", sorted(INPUT_SHAPES))
-@pytest.mark.parametrize("mode", ["chained", "local"])
+@pytest.mark.parametrize("formula", ["chained", "local"])
 @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
-def test_one_sweep_matches_two_sweep_formula_fp32(model, mode, lam):
+def test_one_sweep_matches_two_sweep_formula_fp32(model, formula, lam):
     """Equal up to float rounding, in every unit and parameter.
 
-    A conv bias ahead of BatchNorm has a true gradient of zero, so both
-    sides hold rounding noise there; ``atol`` is therefore relative to the
-    largest gradient in the same unit.
+    The chained formula at λ is the sweep at λ; the local formula at any λ
+    is the sweep at λ = 0.  A conv bias ahead of BatchNorm has a true
+    gradient of zero, so both sides hold rounding noise there; ``atol`` is
+    therefore relative to the largest gradient in the same unit.
     """
     units, executor, halves = _setup(model, int8=False)
     positive, batch = halves[0]
     grads = _activity_grads(executor, batch, positive)
-    _two_sweep(units, grads, lam, mode)
+    _two_sweep(units, grads, lam, formula)
     expected = [[param.grad.copy() for param in unit.parameters()]
                 for unit in units]
     for unit in units:
         unit.zero_grad()
-    accumulate_lookahead_gradients(units, grads, lam, mode=mode)
+    accumulate_lookahead_gradients(
+        units, grads, lam if formula == "chained" else 0.0)
     for unit, wants in zip(units, expected):
         scale = max(float(np.abs(want).max()) for want in wants)
         for param, want in zip(unit.parameters(), wants):
@@ -123,29 +131,30 @@ def test_one_sweep_matches_two_sweep_formula_fp32(model, mode, lam):
                                        atol=1e-5 * scale, err_msg=param.name)
 
 
-def _int8_step_digest(lam, mode):
+def _int8_step_digest(lam):
     units, executor, halves = _setup("mobilenet_v2-mini", int8=True)
     for positive, batch in halves:
         grads = _activity_grads(executor, batch, positive)
-        accumulate_lookahead_gradients(units, grads, lam, mode=mode)
+        accumulate_lookahead_gradients(units, grads, lam)
     digest = hashlib.blake2b(digest_size=16)
     for param in _params(units):
         digest.update(np.ascontiguousarray(param.grad).tobytes())
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("lam, mode, expected", [
-    (0.0, "chained", "8f073ecbcd35cebf63c9d046b44e6d3a"),
-    (0.5, "local", "8f073ecbcd35cebf63c9d046b44e6d3a"),
+# The id names the two-sweep formula the digest was recorded with.
+@pytest.mark.parametrize("lam, expected", [
+    pytest.param(0.0, "8f073ecbcd35cebf63c9d046b44e6d3a",
+                 id="0.0-chained-8f073ecbcd35cebf63c9d046b44e6d3a"),
 ])
-def test_int8_local_gradients_match_two_sweep_digest(lam, mode, expected):
+def test_int8_local_gradients_match_two_sweep_digest(lam, expected):
     """Where no cross-unit term exists, the quantized signals are unchanged.
 
-    The digests were recorded with the two-sweep code: λ = 0 and
-    ``"local"`` quantize each unit's own activity gradient in both, in the
-    same order, so every parameter gradient is bit-identical.
+    The digest was recorded with the two-sweep code: at λ = 0 both quantize
+    each unit's own activity gradient, in the same order, so every
+    parameter gradient is bit-identical.
     """
-    assert _int8_step_digest(lam, mode) == expected
+    assert _int8_step_digest(lam) == expected
 
 
 def test_one_weight_gradient_per_layer_and_no_input_gradient_below_unit_0(
@@ -170,7 +179,7 @@ def test_one_weight_gradient_per_layer_and_no_input_gradient_below_unit_0(
     for positive, batch in halves:
         grads = _activity_grads(executor, batch, positive)
         calls.update((key, 0) for key in calls)
-        accumulate_lookahead_gradients(units, grads, 0.3, mode="chained")
+        accumulate_lookahead_gradients(units, grads, 0.3)
         assert set(calls.values()) == {1}
     unit0 = {id(module) for module in units[0].modules()}
     assert col2im_callers, "units above unit 0 propagate input gradients"

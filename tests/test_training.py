@@ -13,14 +13,11 @@ from repro.training import (
     BPConfig,
     BPTrainer,
     ConstantLambda,
-    ConstantLR,
-    CosineLR,
     DirectInt8Gradient,
     GDAI8Gradient,
     GradientTransform,
     LinearLambda,
     SGD,
-    StepLR,
     UI8Gradient,
     algorithm_properties,
     build_gradient_transform,
@@ -100,21 +97,6 @@ class TestOptimizers:
 
 
 class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1).lr_at(100) == 0.1
-
-    def test_step(self):
-        schedule = StepLR(1.0, step_size=10, gamma=0.1)
-        assert schedule.lr_at(9) == 1.0
-        assert schedule.lr_at(10) == pytest.approx(0.1)
-        assert schedule.lr_at(25) == pytest.approx(0.01)
-
-    def test_cosine_endpoints(self):
-        schedule = CosineLR(1.0, total_epochs=50, min_lr=0.1)
-        assert schedule.lr_at(0) == pytest.approx(1.0)
-        assert schedule.lr_at(50) == pytest.approx(0.1)
-        assert 0.1 < schedule.lr_at(25) < 1.0
-
     def test_linear_lambda_matches_paper_schedule(self):
         """Section V-A3: lambda starts at 0 and grows by 0.001 per epoch."""
         schedule = LinearLambda(initial=0.0, increment=0.001)
@@ -129,10 +111,6 @@ class TestSchedules:
         assert ConstantLambda(0.2).value_at(5) == 0.2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(1.0, step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(1.0, total_epochs=0)
         with pytest.raises(ValueError):
             LinearLambda(initial=-1.0)
         with pytest.raises(ValueError):
