@@ -40,7 +40,7 @@ def _run(bench_mnist):
                            hidden_units=64, seed=0)
         config = FFInt8Config(
             epochs=EPOCHS, batch_size=64, lr=0.02, overlay_amplitude=2.0,
-            quant_config=QuantConfig(bits=bits, rounding="stochastic", seed=0),
+            quant_config=QuantConfig(bits=bits, rounding="stochastic"),
             evaluate_every=EPOCHS, eval_max_samples=128,
             train_eval_max_samples=32, seed=0,
         )

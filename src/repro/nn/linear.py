@@ -6,7 +6,7 @@ The same :class:`Linear` module serves three training regimes:
 * INT8 backpropagation baselines (gradients quantized by the trainer),
 * FF-INT8, where the forward matmul and the weight-gradient matmul are
   executed with INT8 operands and INT32 accumulation when an
-  :class:`~repro.quant.qconfig.QuantConfig` is attached.
+  :class:`~repro.quant.int8_ops.Int8Engine` is attached.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import numpy as np
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
 from repro.runtime import dispatch
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, new_rng
 
 __all__ = ["Int8Engine"]
 
@@ -30,20 +30,23 @@ __all__ = ["Int8Engine"]
 class Int8Engine:
     """Quantized execution engine attached to Linear / Conv2d modules.
 
-    The engine quantizes activations and weights with SUQ + stochastic
-    rounding, performs the integer GEMM on the active runtime backend, and
-    rescales the exact accumulator back to float32 with the product of the
-    two scales — the standard requantization used by integer inference
-    engines, applied here to training.
+    The engine quantizes activations and weights with per-tensor SUQ,
+    performs the integer GEMM on the active runtime backend, and rescales
+    the exact accumulator back to float32 with the product of the two
+    scales — the standard requantization used by integer inference
+    engines, applied here to training.  Stochastic rounding draws from
+    ``rng``, the caller's generator, which it then requires.
     """
 
     def __init__(self, config: Optional[QuantConfig] = None, rng: RngLike = None):
         self.config = config if config is not None else QuantConfig()
-        self._rng = self.config.rng(rng)
+        if self.config.rounding == "stochastic" and rng is None:
+            raise ValueError("stochastic rounding needs a generator: pass rng")
+        self._rng = None if rng is None else new_rng(rng)
 
     # ------------------------------------------------------------------ #
-    def _quantize(self, values: np.ndarray, axis: Optional[int] = None):
-        return quantize(values, self.config, axis=axis, rng=self._rng)
+    def _quantize(self, values: np.ndarray):
+        return quantize(values, self.config, rng=self._rng)
 
     # ------------------------------------------------------------------ #
     def linear_forward(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -52,15 +55,12 @@ class Int8Engine:
         ``x`` has shape ``(rows, in_features)`` and ``weight`` has shape
         ``(out_features, in_features)``; the result is float32.
         """
-        axis = 0 if self.config.per_channel else None
         x_q, x_scale = self._quantize(x)
-        w_q, w_scale = self._quantize(weight, axis=axis)
+        w_q, w_scale = self._quantize(weight)
         acc = dispatch.int8_gemm(x_q, np.ascontiguousarray(w_q.T))
-        if self.config.per_channel and np.ndim(w_scale) == 1:
-            rescale = float(x_scale) * np.asarray(w_scale)[None, :]
-        else:
-            rescale = float(x_scale) * float(w_scale)
-        return (acc.astype(np.float64) * rescale).astype(np.float32)
+        return (acc.astype(np.float64) * (float(x_scale) * float(w_scale))).astype(
+            np.float32
+        )
 
     def linear_weight_grad(self, grad_output: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Compute ``grad_output.T @ x`` (the weight gradient) in INT8."""

@@ -56,14 +56,3 @@ def round_stochastic(
     np.multiply(draws.reshape(values.shape), _THRESHOLD_STEP, out=out)
     np.add(out, values, out=out)
     return np.floor(out, out=out)
-
-
-def apply_rounding(
-    values: np.ndarray, mode: str, rng: RngLike = None
-) -> np.ndarray:
-    """Dispatch on rounding ``mode`` ('stochastic' or 'nearest')."""
-    if mode == "stochastic":
-        return round_stochastic(values, rng=rng)
-    if mode == "nearest":
-        return round_nearest(values)
-    raise ValueError(f"unknown rounding mode {mode!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.quant.qconfig import QuantConfig
 from repro.quant.rounding import round_nearest, round_stochastic
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, new_rng
 
 #: Elements per chunk of :func:`quantize`: the float32 buffers of one chunk
 #: (64 KiB each) stay in cache, and the Python loop runs once per 16 K
@@ -27,7 +27,6 @@ CHUNK = 16384
 def compute_scale(
     values: np.ndarray,
     qmax: int,
-    percentile: Optional[float] = None,
     axis: Optional[int] = None,
     eps: float = 1e-12,
 ) -> np.ndarray:
@@ -39,35 +38,22 @@ def compute_scale(
         Tensor to be quantized.
     qmax:
         Largest positive integer level (127 for INT8).
-    percentile:
-        If given, clip the dynamic range at this percentile of ``|values|``
-        instead of the absolute maximum (robust to outliers — the mechanism
-        GDAI8-style gradient quantizers rely on).
     axis:
         If given, compute one scale per index along ``axis`` (per-channel
         quantization for weights); otherwise a single per-tensor scale.
 
     The absolute maximum is ``max(values.max(), -values.min())`` in the
-    input's own float dtype (no float64 copy of the tensor); only the
-    percentile path builds a float64 ``|values|``.
+    input's own float dtype (no float64 copy of the tensor).
     """
     values = np.asarray(values)
     if values.dtype.kind != "f":
         values = values.astype(np.float64)
-    use_percentile = percentile is not None and percentile < 100.0
     if axis is None:
-        if not values.size:
-            extreme = 0.0
-        elif use_percentile:
-            extreme = np.percentile(np.abs(values, dtype=np.float64), percentile)
-        else:
-            extreme = max(values.max(), -values.min())
+        extreme = max(values.max(), -values.min()) if values.size else 0.0
         return np.float64(max(float(extreme), eps) / qmax)
 
     moved = np.moveaxis(values, axis, 0).reshape(values.shape[axis], -1)
-    if use_percentile:
-        extreme = np.percentile(np.abs(moved, dtype=np.float64), percentile, axis=1)
-    elif moved.size:
+    if moved.size:
         extreme = np.maximum(moved.max(axis=1), -moved.min(axis=1))
     else:
         extreme = np.zeros(moved.shape[0])
@@ -98,16 +84,21 @@ def quantize(
     bits per element from the generator; since ``CHUNK`` is a multiple of
     four, the chunks leave the generator where a single whole-tensor call
     would.  Nearest rounding divides by the scale in float64 and draws
-    nothing.  ``rng`` is a generator or seed; ``None`` means
-    ``config.rng()``.  Besides ``q``, memory use is O(``CHUNK``) for any
-    tensor size and any scale shape (per-tensor or per-channel).
+    nothing.  ``rng`` is the caller's generator (or a seed for a fresh
+    one); stochastic rounding without it raises :class:`ValueError`.
+
+    ``axis`` selects per-channel scales, one per index along ``axis``;
+    without it the scale is per-tensor.  Besides ``q``, memory use is
+    O(``CHUNK``) for any tensor size and any scale shape.
     """
+    stochastic = config.rounding == "stochastic"
+    if stochastic:
+        if rng is None:
+            raise ValueError("stochastic rounding needs a generator: pass rng")
+        rng = new_rng(rng)
     values = np.asarray(values, dtype=np.float32)
     if scale is None:
-        channel_axis = axis if config.per_channel and axis is not None else None
-        scale = compute_scale(
-            values, config.qmax, percentile=config.percentile, axis=channel_axis
-        )
+        scale = compute_scale(values, config.qmax, axis=axis)
     scale = np.asarray(scale, dtype=np.float64)
     if axis is not None and scale.ndim == 1:
         broadcast_shape = [1] * values.ndim
@@ -115,7 +106,6 @@ def quantize(
         scale_b = scale.reshape(broadcast_shape)
     else:
         scale_b = scale
-    rng = config.rng(rng)
     if config.bits <= 8:
         dtype = np.int8
     elif config.bits <= 16:
@@ -123,7 +113,6 @@ def quantize(
     else:
         dtype = np.int32
     q = np.empty(values.shape, dtype=dtype)
-    stochastic = config.rounding == "stochastic"
     factor = np.asarray(1.0 / scale_b, dtype=np.float32) if stochastic else scale_b
     # A per-tensor scale stays a scalar operand; per-channel scales are
     # gathered per chunk from a broadcast view.
@@ -174,14 +163,17 @@ def fake_quantize(
 
     Used by the naive BP-INT8 baseline to inject gradient quantization error
     while keeping the update rule in floating point, and by tests that check
-    error bounds of the quantizer.
+    error bounds of the quantizer.  ``axis`` and ``rng`` are as in
+    :func:`quantize`.
     """
     q, scale = quantize(values, config, axis=axis, rng=rng)
-    channel_axis = axis if config.per_channel and axis is not None else None
-    return dequantize(q, scale, axis=channel_axis)
+    return dequantize(q, scale, axis=axis)
 
 
 def quantization_error(values: np.ndarray, config: QuantConfig) -> float:
-    """Mean absolute error introduced by quantizing ``values`` (per-tensor)."""
+    """Mean absolute error introduced by quantizing ``values`` (per-tensor).
+
+    Draws no random numbers, so ``config`` must use nearest rounding.
+    """
     reconstructed = fake_quantize(values, config)
     return float(np.mean(np.abs(values - reconstructed)))

@@ -122,8 +122,10 @@ def freeze_unit_weights(
     Weight quantization is deterministic (nearest rounding): stochastic
     rounding is a *training* device for unbiased gradients and has no place
     in a frozen artifact, where run-to-run reproducibility matters more.
+    ``per_channel`` gives each output channel its own scale.
     """
-    config = QuantConfig(bits=8, rounding="nearest", per_channel=per_channel)
+    config = QuantConfig(bits=8, rounding="nearest")
+    axis = 0 if per_channel else None
     tensors: Dict[str, np.ndarray] = {}
     for index, unit in enumerate(units):
         prefix = f"unit{index}."
@@ -134,7 +136,6 @@ def freeze_unit_weights(
                 # The kernels consume weights as (out_channels, K) matrices;
                 # for Linear this reshape is already the identity.
                 matrix = weight.reshape(weight.shape[0], -1)
-                axis = 0 if per_channel else None
                 q, scale = quantize(matrix, config, axis=axis)
                 base = _join(prefix, f"{path}weight")
                 tensors[base + QUANT_SUFFIX] = q.reshape(weight.shape)

@@ -24,7 +24,6 @@ from repro.training.gradient_transforms import (
     GDAI8Gradient,
     GradientTransform,
     UI8Gradient,
-    build_gradient_transform,
 )
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.training.metrics import evaluate_classifier, prediction_entropy
@@ -40,7 +39,6 @@ __all__ = [
     "DirectInt8Gradient",
     "UI8Gradient",
     "GDAI8Gradient",
-    "build_gradient_transform",
     "Optimizer",
     "SGD",
     "Adam",

@@ -7,9 +7,8 @@ sweep algorithms uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.quant.qconfig import QuantConfig
 from repro.training.bp import BPConfig, BPTrainer
 from repro.training.gradient_transforms import (
     DirectInt8Gradient,
@@ -27,6 +26,12 @@ FF_INT8 = "FF-INT8"
 BP_ALGORITHMS = (BP_FP32, BP_INT8, BP_UI8, BP_GDAI8)
 ALL_ALGORITHMS = BP_ALGORITHMS + (FF_INT8,)
 
+_GRADIENT_TRANSFORMS = {
+    BP_INT8: DirectInt8Gradient,
+    BP_UI8: UI8Gradient,
+    BP_GDAI8: GDAI8Gradient,
+}
+
 
 def make_bp_config(
     algorithm: str,
@@ -34,41 +39,33 @@ def make_bp_config(
     batch_size: int = 32,
     lr: float = 0.01,
     optimizer: str = "sgd",
-    int8_forward: Optional[bool] = None,
     seed: int = 0,
     **overrides,
 ) -> BPConfig:
-    """Build a :class:`BPConfig` for one of the BP-based algorithm labels."""
+    """Build a :class:`BPConfig` for one of the BP-based algorithm labels.
+
+    The INT8 labels run the forward GEMMs on the INT8 engine and quantize
+    gradients with their transform; ``overrides`` (``quant_config``, say)
+    pass through to :class:`BPConfig`.
+    """
     algorithm = algorithm.upper()
     if algorithm not in BP_ALGORITHMS:
         raise ValueError(
             f"unknown BP algorithm {algorithm!r}; expected one of {BP_ALGORITHMS}"
         )
-    transform = None
-    default_int8_forward = False
-    if algorithm == BP_INT8:
-        transform = DirectInt8Gradient(rng=seed)
-        default_int8_forward = True
-    elif algorithm == BP_UI8:
-        transform = UI8Gradient(rng=seed)
-        default_int8_forward = True
-    elif algorithm == BP_GDAI8:
-        transform = GDAI8Gradient(rng=seed)
-        default_int8_forward = True
-    config = BPConfig(
+    transform_class = _GRADIENT_TRANSFORMS.get(algorithm)
+    return BPConfig(
         epochs=epochs,
         batch_size=batch_size,
         lr=lr,
         optimizer=optimizer,
-        gradient_transform=transform,
-        int8_forward=(
-            int8_forward if int8_forward is not None else default_int8_forward
+        gradient_transform=(
+            transform_class(rng=seed) if transform_class is not None else None
         ),
-        quant_config=QuantConfig(),
+        int8_forward=transform_class is not None,
         seed=seed,
         **overrides,
     )
-    return config
 
 
 def make_trainer(algorithm: str, **kwargs):

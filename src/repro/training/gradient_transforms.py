@@ -26,7 +26,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.quant.qconfig import QuantConfig
-from repro.quant.rounding import apply_rounding
+from repro.quant.rounding import round_nearest, round_stochastic
 from repro.quant.suq import fake_quantize
 from repro.utils.rng import RngLike, new_rng
 
@@ -43,7 +43,10 @@ def _quantize_clipped(
     """
     scale = threshold / config.qmax
     levels = np.clip(grad, -threshold, threshold) / scale
-    rounded = apply_rounding(levels, config.rounding, rng=rng)
+    if config.rounding == "stochastic":
+        rounded = round_stochastic(levels, rng)
+    else:
+        rounded = round_nearest(levels)
     return (np.clip(rounded, config.qmin, config.qmax) * scale).astype(
         np.float32
     )
@@ -194,14 +197,7 @@ class GDAI8Gradient(GradientTransform):
             raise ValueError(f"percentile must lie in (0, 100], got {percentile}")
         if not 0.0 <= smoothing < 1.0:
             raise ValueError(f"smoothing must lie in [0, 1), got {smoothing}")
-        base = config if config is not None else QuantConfig(rounding="stochastic")
-        self.config = QuantConfig(
-            bits=base.bits,
-            rounding=base.rounding,
-            per_channel=base.per_channel,
-            percentile=None,
-            seed=base.seed,
-        )
+        self.config = config if config is not None else QuantConfig()
         self.percentile = float(percentile)
         self.smoothing = float(smoothing)
         self._rng = new_rng(rng)
@@ -218,17 +214,3 @@ class GDAI8Gradient(GradientTransform):
         if threshold <= 0.0:
             return grad
         return _quantize_clipped(grad, threshold, self.config, self._rng)
-
-
-def build_gradient_transform(name: str, **kwargs) -> GradientTransform:
-    """Factory used by the trainer configuration layer."""
-    name = name.lower()
-    if name in ("fp32", "none", "identity"):
-        return GradientTransform()
-    if name in ("int8", "int8-direct", "bp-int8"):
-        return DirectInt8Gradient(**kwargs)
-    if name in ("ui8", "bp-ui8"):
-        return UI8Gradient(**kwargs)
-    if name in ("gdai8", "bp-gdai8"):
-        return GDAI8Gradient(**kwargs)
-    raise ValueError(f"unknown gradient transform {name!r}")

@@ -8,7 +8,7 @@ benchmark records (:mod:`repro.utils.sysinfo`).
 """
 
 from repro.utils.logging import get_logger
-from repro.utils.rng import new_rng, spawn_rngs, temp_seed
+from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.serialization import load_json, save_json
 from repro.utils.sysinfo import machine_meta
 
@@ -16,7 +16,6 @@ __all__ = [
     "get_logger",
     "new_rng",
     "spawn_rngs",
-    "temp_seed",
     "load_json",
     "save_json",
     "machine_meta",

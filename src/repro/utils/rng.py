@@ -8,8 +8,7 @@ single integer seed.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,42 +42,3 @@ def spawn_rngs(seed: RngLike, count: int) -> list[np.random.Generator]:
     else:
         seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
-
-
-@contextlib.contextmanager
-def temp_seed(seed: int) -> Iterator[None]:
-    """Temporarily seed NumPy's legacy global RNG.
-
-    Only used when interfacing with third-party code that relies on the
-    global state; library code should prefer explicit generators.
-    """
-    state = np.random.get_state()
-    np.random.seed(seed)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
-
-
-def sample_indices(
-    rng: np.random.Generator,
-    population: int,
-    size: int,
-    replace: bool = False,
-    exclude: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Sample ``size`` indices from ``range(population)``.
-
-    ``exclude`` removes candidate indices before sampling, which is used by
-    the negative-sample generator to avoid drawing the true label.
-    """
-    candidates = np.arange(population)
-    if exclude is not None:
-        mask = np.ones(population, dtype=bool)
-        mask[np.asarray(exclude, dtype=int)] = False
-        candidates = candidates[mask]
-    if not replace and size > candidates.size:
-        raise ValueError(
-            f"cannot sample {size} unique indices from {candidates.size} candidates"
-        )
-    return rng.choice(candidates, size=size, replace=replace)

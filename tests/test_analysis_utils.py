@@ -13,8 +13,7 @@ from repro.analysis import (
     summarize_gradients,
 )
 from repro.models import build_mlp
-from repro.utils import get_logger, load_json, new_rng, save_json, spawn_rngs, temp_seed
-from repro.utils.rng import sample_indices
+from repro.utils import get_logger, load_json, new_rng, save_json, spawn_rngs
 from repro.utils.serialization import load_parameters, save_parameters
 
 
@@ -150,21 +149,6 @@ class TestUtils:
     def test_spawn_rngs_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_temp_seed_restores_state(self):
-        np.random.seed(123)
-        expected = np.random.random()
-        np.random.seed(123)
-        with temp_seed(999):
-            np.random.random()
-        assert np.random.random() == expected
-
-    def test_sample_indices_exclude(self):
-        rng = new_rng(0)
-        samples = sample_indices(rng, 10, 5, exclude=[0, 1])
-        assert not set(samples) & {0, 1}
-        with pytest.raises(ValueError):
-            sample_indices(rng, 4, 5)
 
     def test_save_load_json_roundtrip(self, tmp_path):
         payload = {"a": np.float32(1.5), "b": np.arange(3), "c": {"d": [np.int64(2)]}}

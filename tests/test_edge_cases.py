@@ -15,7 +15,6 @@ from repro.hardware.cost_model import CostBreakdown, TrainingCostModel
 from repro.models import build_mlp, scaled_width
 from repro.nn import Linear, ReLU, ResidualAdd, Sequential
 from repro.nn.norm import FFLayerNorm
-from repro.quant import QuantConfig
 from repro.training import make_trainer
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.utils import spawn_rngs
@@ -143,13 +142,6 @@ class TestMiscEdgeCases:
 
     def test_scaled_width_floor(self):
         assert scaled_width(64, 0.001, floor=6) == 6
-
-    def test_quant_config_rng_override(self):
-        config = QuantConfig(seed=1)
-        default_rng = config.rng()
-        override = config.rng(seed_override=99)
-        assert default_rng is config.rng()  # cached
-        assert override is not default_rng
 
     def test_experiment_record_overwrite(self):
         result = ExperimentResult("exp", "Fig X", "demo")

@@ -1,5 +1,8 @@
 """Tests for artifact export and the batched INT8 inference engine."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +233,23 @@ class TestArtifact:
             np.stack([classifier.goodness_matrix(inputs[i:i + 1])[0]
                       for i in range(len(inputs))]),
         )
+
+    @pytest.mark.parametrize("per_channel, expected", [
+        (False, "c400be62a5008e04ab030ff5b7a01941"),
+        (True, "e286ebc286a47e581a2d834e98bad8a4"),
+    ], ids=["per-tensor", "per-channel"])
+    def test_artifact_bytes_match_golden_digest(self, per_channel, expected):
+        """Every tensor and metadata byte of a conv export, pinned."""
+        bundle = _resnet_mini(seed=0)
+        artifact = export_artifact(bundle.ff_units(), bundle,
+                                   per_channel=per_channel)
+        digest = hashlib.blake2b(digest_size=16)
+        for key in sorted(artifact.tensors):
+            tensor = np.ascontiguousarray(artifact.tensors[key])
+            digest.update(f"{key}:{tensor.dtype.str}:{tensor.shape}".encode())
+            digest.update(tensor.tobytes())
+        digest.update(json.dumps(artifact.metadata, sort_keys=True).encode())
+        assert digest.hexdigest() == expected
 
     def test_registry_metadata_rebuilds_bundle(self):
         bundle = build_model("mlp-mini", input_shape=(1, 14, 14))

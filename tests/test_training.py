@@ -20,7 +20,6 @@ from repro.training import (
     SGD,
     UI8Gradient,
     algorithm_properties,
-    build_gradient_transform,
     build_optimizer,
     evaluate_classifier,
     make_bp_config,
@@ -209,14 +208,6 @@ class TestGradientTransforms:
                     digest.update(out.tobytes())
         assert digest.hexdigest() == "46e82c43b05f45fdb1c6507eb9d6a538"
 
-    def test_factory(self):
-        assert isinstance(build_gradient_transform("fp32"), GradientTransform)
-        assert isinstance(build_gradient_transform("int8"), DirectInt8Gradient)
-        assert isinstance(build_gradient_transform("ui8"), UI8Gradient)
-        assert isinstance(build_gradient_transform("gdai8"), GDAI8Gradient)
-        with pytest.raises(ValueError):
-            build_gradient_transform("fp8")
-
 
 class TestHistory:
     def _history(self):
@@ -278,6 +269,18 @@ class TestBPTrainer:
         assert isinstance(make_trainer("FF-INT8", epochs=1), FFInt8Trainer)
         with pytest.raises(ValueError):
             make_trainer("BP-FP16")
+
+    def test_make_trainer_passes_quant_config_to_engines(self, tiny_mnist):
+        from repro.quant import quantizable_layers
+
+        train, _ = tiny_mnist
+        bundle = build_mlp(input_shape=(1, 14, 14), hidden_layers=1,
+                           hidden_units=16, seed=0)
+        trainer = make_trainer("BP-INT8", epochs=1, batch_size=64,
+                               quant_config=QuantConfig(bits=4))
+        model = trainer.fit(bundle, train).metadata["trained_model"]
+        engines = [layer.quant_engine for layer in quantizable_layers(model)]
+        assert engines and all(engine.config.bits == 4 for engine in engines)
 
     def test_unknown_bp_algorithm(self):
         with pytest.raises(ValueError):
