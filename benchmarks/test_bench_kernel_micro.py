@@ -11,10 +11,16 @@ registered backend:
 * ``conv_cols``     — the same fused quantize+GEMM at an im2col'd conv
   shape (positions are rows: a 64-channel 3x3 conv over a batch of
   16x16 feature maps) — the ResNet/MobileNet serving hot path.
-* ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet hot path,
-  which ``fast`` runs as exact float32 einsums instead of the reference
-  integer einsums (the case the CI bench-smoke job watches: ``fast`` must
-  not be slower than ``reference`` here).
+* ``depthwise`` / ``depthwise_grad`` — the MobileNet/EfficientNet serving
+  path over im2col'd patches, which ``fast`` runs as exact float32 einsums
+  instead of the reference integer einsums.
+* ``depthwise_taps`` / ``depthwise_taps_grad`` — the training depthwise
+  forward and weight gradient, shifted taps over the padded NHWC input at
+  the same positions, channels and 3x3 kernel; ``fast`` sums exact float32
+  products where ``reference`` sums int64 ones.
+
+On the four depthwise cases ``fast`` must not be slower than ``reference``
+(the check the CI bench-smoke job watches).
 
 Every backend result is checked for exactness against ``reference`` before
 it is timed — a fast wrong kernel must fail loudly, not win benchmarks.
@@ -45,6 +51,8 @@ STRICT = os.environ.get("REPRO_BENCH_STRICT", "").strip().lower() not in (
 SERVE_ROWS, SERVE_IN, SERVE_OUT = 320, 196, 64
 LARGE_M, LARGE_K, LARGE_N = 512, 784, 256
 DW_POSITIONS, DW_CHANNELS, DW_KERNEL = 4096, 32, 9
+#: The tap cases' NHWC input: DW_POSITIONS 3x3 windows (stride 1, pad 1).
+TAP_INPUT = (16, 16, 16, DW_CHANNELS)
 #: im2col'd conv GEMM: 4 x 16x16 feature-map positions, 64ch 3x3 reduction.
 CONV_ROWS, CONV_K, CONV_N = 1024, 576, 64
 
@@ -77,6 +85,9 @@ def _kernel_cases():
     grad = rng.integers(-127, 128, size=(DW_POSITIONS, DW_CHANNELS)).astype(
         np.int8
     )
+    tap_x = rng.integers(-127, 128, size=TAP_INPUT).astype(np.int8)
+    tap_weight = weight.reshape(DW_CHANNELS, 3, 3)
+    tap_grad = grad.reshape(TAP_INPUT)
     conv_x = rng.normal(size=(CONV_ROWS, CONV_K)).astype(np.float32)
     conv_rhs = rng.integers(-127, 128, size=(CONV_K, CONV_N)).astype(np.int8)
     return {
@@ -90,6 +101,12 @@ def _kernel_cases():
         "depthwise": lambda backend: backend.int8_depthwise(cols, weight),
         "depthwise_grad": lambda backend: backend.int8_depthwise_grad(
             grad, cols
+        ),
+        "depthwise_taps": lambda backend: backend.int8_depthwise_taps(
+            tap_x, tap_weight, (1, 1), (1, 1)
+        ),
+        "depthwise_taps_grad": lambda backend: backend.int8_depthwise_taps_grad(
+            tap_grad, tap_x, (3, 3), (1, 1), (1, 1)
         ),
     }
 
@@ -146,6 +163,7 @@ def test_kernel_microbenchmark(benchmark):
             "rowwise_serve": [SERVE_ROWS, SERVE_IN, SERVE_OUT],
             "conv_cols": [CONV_ROWS, CONV_K, CONV_N],
             "depthwise": [DW_POSITIONS, DW_CHANNELS, DW_KERNEL],
+            "depthwise_taps": list(TAP_INPUT) + [3, 3],
         },
         results=measured,
         notes="All backends verified bit-identical to reference before "
@@ -153,12 +171,14 @@ def test_kernel_microbenchmark(benchmark):
     )
     save_experiment(result)
 
-    # The float32 depthwise win must actually show up; on shared runners
-    # the check is advisory unless REPRO_BENCH_STRICT=1.
+    # The float32 depthwise win must actually show up, for the serving
+    # kernels and the training taps; on shared runners the check is
+    # advisory unless REPRO_BENCH_STRICT=1.
     complaints = [
         f"fast slower than reference on {case} "
         f"({timings[case]['fast']:.3f}ms vs {timings[case]['reference']:.3f}ms)"
-        for case in ("depthwise", "depthwise_grad")
+        for case in ("depthwise", "depthwise_grad", "depthwise_taps",
+                     "depthwise_taps_grad")
         if timings[case]["fast"] > timings[case]["reference"]
     ]
     for complaint in complaints:

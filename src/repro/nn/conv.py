@@ -1,14 +1,17 @@
-"""2-D convolution layers lowered to GEMM via im2col.
+"""2-D convolution layers.
 
 Two variants are provided:
 
 * :class:`Conv2d` — standard (grouped = 1) convolution used by ResNet-18 and
-  the stem/projection layers of MobileNet-V2 / EfficientNet-B0.
+  the stem/projection layers of MobileNet-V2 / EfficientNet-B0, lowered to
+  one GEMM via im2col.
 * :class:`DepthwiseConv2d` — per-channel convolution used by the inverted
-  residual (MBConv) blocks.
+  residual (MBConv) blocks, run as ``kh * kw`` shifted taps over the
+  zero-padded input, so training never builds the ``kh * kw``-fold
+  expanded patch matrix.
 
 Both support an optional attached quantized execution engine so that FF-INT8
-runs the forward GEMM and the weight-gradient GEMM with INT8 operands.
+runs the forward and the weight-gradient products with INT8 operands.
 """
 
 from __future__ import annotations
@@ -18,10 +21,20 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.nn import init
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import (
+    col2im,
+    conv_output_size,
+    depthwise_input_grad,
+    im2col,
+)
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.runtime import dispatch
+from repro.runtime.backends.reference import (
+    depthwise_tap_grad,
+    depthwise_taps,
+    pad_nhwc,
+)
 from repro.utils.rng import RngLike, new_rng
 
 IntPair = Union[int, Tuple[int, int]]
@@ -182,54 +195,59 @@ class DepthwiseConv2d(Module):
                 f"DepthwiseConv2d expects (N, {self.channels}, H, W) input, "
                 f"got shape {x.shape}"
             )
-        batch, channels, _, _ = x.shape
-        _, _, out_h, out_w = self.output_shape(x.shape)
-        kernel_area = self.kernel_size[0] * self.kernel_size[1]
-        cols = im2col(x, self.kernel_size, self.stride, self.padding)
-        # (N*out_h*out_w, C, kh*kw): each channel sees only its own patch.
-        cols = cols.reshape(-1, channels, kernel_area)
-        weight = self.weight.data.reshape(channels, kernel_area)
+        self.output_shape(x.shape)  # rejects a kernel larger than the input
+        weight = self._weight_taps()
         if self.quant_engine is not None:
-            out = self.quant_engine.depthwise_forward(cols, weight)
+            out = self.quant_engine.depthwise_forward(
+                x, weight, self.stride, self.padding
+            )
         else:
-            out = np.einsum("pck,ck->pc", cols, weight)
+            out = depthwise_taps(self._padded(x), weight, self.stride)
         if self.bias is not None:
             out = out + self.bias.data
-        out = out.reshape(batch, out_h, out_w, channels).transpose(0, 3, 1, 2)
-        self._store(cols=cols, input_shape=np.array(x.shape))
-        return out.astype(np.float32)
+        self._store(x=x)
+        return out.transpose(0, 3, 1, 2).astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.accumulate_param_grads(grad_output)
         return self.input_grad(grad_output)
 
-    def _grad_matrix(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.channels)
-        return np.ascontiguousarray(grad_matrix, dtype=np.float32)
+    def _weight_taps(self) -> np.ndarray:
+        """The weight as ``(C, kh, kw)``: one per-channel value per tap."""
+        return self.weight.data.reshape(self.channels, *self.kernel_size)
+
+    def _padded(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a zero-padded ``(N, H, W, C)`` array."""
+        return pad_nhwc(x.transpose(0, 2, 3, 1), self.padding)
+
+    @staticmethod
+    def _grad_nhwc(grad_output: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(
+            grad_output.transpose(0, 2, 3, 1), dtype=np.float32
+        )
 
     def accumulate_param_grads(self, grad_output: np.ndarray) -> None:
         """Accumulate the weight and bias gradients of ``grad_output``."""
-        cols = self._load("cols")
-        grad_matrix = self._grad_matrix(grad_output)
+        x = self._load("x")
+        grad = self._grad_nhwc(grad_output)
         if self.quant_engine is not None:
-            grad_weight = self.quant_engine.depthwise_weight_grad(grad_matrix, cols)
+            grad_weight = self.quant_engine.depthwise_weight_grad(
+                grad, x, self.kernel_size, self.stride, self.padding
+            )
         else:
-            grad_weight = np.einsum("pc,pck->ck", grad_matrix, cols)
+            grad_weight = depthwise_tap_grad(
+                grad, self._padded(x), self.kernel_size, self.stride
+            )
         self.weight.accumulate_grad(grad_weight.reshape(self.weight.data.shape))
         if self.bias is not None:
-            self.bias.accumulate_grad(grad_matrix.sum(axis=0))
+            self.bias.accumulate_grad(grad.reshape(-1, self.channels).sum(axis=0))
 
     def input_grad(self, grad_output: np.ndarray) -> np.ndarray:
         """Gradient with respect to the input; no parameter gradient moves."""
-        input_shape = tuple(int(v) for v in self._load("input_shape"))
-        kernel_area = self.kernel_size[0] * self.kernel_size[1]
-        weight = self.weight.data.reshape(self.channels, kernel_area)
-        grad_cols = np.einsum("pc,ck->pck", self._grad_matrix(grad_output), weight)
-        grad_cols = grad_cols.reshape(-1, self.channels * kernel_area)
-        grad_input = col2im(
-            grad_cols, input_shape, self.kernel_size, self.stride, self.padding
+        return depthwise_input_grad(
+            self._grad_nhwc(grad_output), self._weight_taps(),
+            self._load("x").shape, self.stride, self.padding,
         )
-        return grad_input.astype(np.float32)
 
     def extra_repr(self) -> str:
         return (

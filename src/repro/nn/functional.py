@@ -55,6 +55,9 @@ def im2col(
     is invisible to everything downstream.
     """
     batch, channels, height, width = x.shape
+    if _pointwise(kernel, stride, padding):
+        # 1x1, stride 1, no padding: the columns are the NHWC pixels.
+        return x.transpose(0, 2, 3, 1).copy().reshape(-1, channels)
     kernel_h, kernel_w = kernel
     stride_h, stride_w = stride
     pad_h, pad_w = padding
@@ -99,6 +102,12 @@ def col2im(
     to convolution inputs.
     """
     batch, channels, height, width = input_shape
+    if _pointwise(kernel, stride, padding):
+        # One transposing copy; adding +0.0 turns -0.0 into +0.0 as the
+        # general path's zeros-then-add does.
+        pixels = cols.reshape(batch, height, width, channels)
+        return np.add(pixels.transpose(0, 3, 1, 2), 0.0,
+                      out=np.empty(input_shape, dtype=cols.dtype))
     kernel_h, kernel_w = kernel
     stride_h, stride_w = stride
     pad_h, pad_w = padding
@@ -120,6 +129,49 @@ def col2im(
     if pad_h == 0 and pad_w == 0:
         return padded
     return padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
+
+
+def _pointwise(
+    kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
+) -> bool:
+    """True for a 1x1, stride-1, unpadded convolution."""
+    return tuple(kernel) == (1, 1) and tuple(stride) == (1, 1) and (
+        tuple(padding) == (0, 0))
+
+
+def depthwise_input_grad(
+    grad: np.ndarray,
+    weight: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """Input gradient of a depthwise convolution, tap by tap.
+
+    ``grad`` is the ``(N, out_h, out_w, C)`` output gradient and
+    ``weight`` ``(C, kh, kw)``.  Each tap adds ``grad * weight[:, r, s]``
+    into a zero-padded NHWC buffer, in the order :func:`col2im` folds
+    patch columns, so the ``(N, C, H, W)`` result (C-contiguous) equals
+    ``col2im`` of the per-tap products bit for bit, without building them.
+    """
+    batch, channels, height, width = input_shape
+    kernel_h, kernel_w = weight.shape[1:]
+    stride_h, stride_w = stride
+    pad_h, pad_w = padding
+    _, out_h, out_w, _ = grad.shape
+    dtype = np.result_type(grad, weight)
+    padded = np.zeros(
+        (batch, height + 2 * pad_h, width + 2 * pad_w, channels), dtype=dtype
+    )
+    product = np.empty(grad.shape, dtype=dtype)
+    for row in range(kernel_h):
+        row_end = row + stride_h * (out_h - 1) + 1
+        for col in range(kernel_w):
+            col_end = col + stride_w * (out_w - 1) + 1
+            np.multiply(grad, weight[:, row, col], out=product)
+            padded[:, row:row_end:stride_h, col:col_end:stride_w] += product
+    inner = padded[:, pad_h : pad_h + height, pad_w : pad_w + width]
+    return np.ascontiguousarray(inner.transpose(0, 3, 1, 2))
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ counts are not tallied here; they come from the profiled model
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,26 +75,44 @@ class Int8Engine:
         )
 
     # ------------------------------------------------------------------ #
-    def depthwise_forward(self, cols: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Depthwise convolution inner product in INT8.
+    def depthwise_forward(
+        self,
+        x: np.ndarray,
+        weight: np.ndarray,
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        """Depthwise convolution of ``x`` with INT8 operands.
 
-        ``cols`` has shape ``(positions, channels, kernel_area)`` and
-        ``weight`` has shape ``(channels, kernel_area)``.
+        ``x`` is ``(N, C, H, W)`` and ``weight`` ``(C, kh, kw)``; returns
+        the ``(N, out_h, out_w, C)`` float32 output.  ``x`` is quantized
+        once, one rounding per element in NHWC order, and the kernel
+        accumulates the integer products tap by tap.
         """
-        c_q, c_scale = self._quantize(cols)
+        x_q, x_scale = self._quantize(x.transpose(0, 2, 3, 1))
         w_q, w_scale = self._quantize(weight)
-        acc = dispatch.int8_depthwise(c_q, w_q)
-        return (acc.astype(np.float64) * (float(c_scale) * float(w_scale))).astype(
+        acc = dispatch.int8_depthwise_taps(x_q, w_q, stride, padding)
+        return (acc.astype(np.float64) * (float(x_scale) * float(w_scale))).astype(
             np.float32
         )
 
     def depthwise_weight_grad(
-        self, grad_matrix: np.ndarray, cols: np.ndarray
+        self,
+        grad: np.ndarray,
+        x: np.ndarray,
+        kernel: Tuple[int, int],
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
     ) -> np.ndarray:
-        """Depthwise weight gradient ``sum_p grad[p, c] * cols[p, c, k]`` in INT8."""
-        g_q, g_scale = self._quantize(grad_matrix)
-        c_q, c_scale = self._quantize(cols)
-        acc = dispatch.int8_depthwise_grad(g_q, c_q)
-        return (acc.astype(np.float64) * (float(g_scale) * float(c_scale))).astype(
+        """Depthwise weight gradient ``(C, kh, kw)`` with INT8 operands.
+
+        ``grad`` is the ``(N, out_h, out_w, C)`` output gradient and ``x``
+        the ``(N, C, H, W)`` layer input; both are quantized afresh, as in
+        :meth:`linear_weight_grad`.
+        """
+        g_q, g_scale = self._quantize(grad)
+        x_q, x_scale = self._quantize(x.transpose(0, 2, 3, 1))
+        acc = dispatch.int8_depthwise_taps_grad(g_q, x_q, kernel, stride, padding)
+        return (acc.astype(np.float64) * (float(g_scale) * float(x_scale))).astype(
             np.float32
         )

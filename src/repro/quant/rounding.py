@@ -43,10 +43,13 @@ def round_stochastic(
     """Stochastic rounding with random 16-bit thresholds, in float32.
 
     Returns ``floor(values + r * 2**-16)`` as float32, ``r`` drawn as
-    described in the module docstring, in C order of ``values``.  ``out``
-    is an optional float32 buffer of ``values``' shape for the result; it
-    must not overlap ``values``.
+    described in the module docstring, in C order of ``values``.  ``rng``
+    is the caller's generator (or a seed for a fresh one); without it this
+    raises :class:`ValueError`.  ``out`` is an optional float32 buffer of
+    ``values``' shape for the result; it must not overlap ``values``.
     """
+    if rng is None:
+        raise ValueError("stochastic rounding needs a generator: pass rng")
     rng = new_rng(rng)
     values = np.asarray(values, dtype=np.float32)
     words = rng.bit_generator.random_raw(-(-values.size // 4))

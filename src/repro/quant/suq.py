@@ -116,15 +116,18 @@ def quantize(
     factor = np.asarray(1.0 / scale_b, dtype=np.float32) if stochastic else scale_b
     # A per-tensor scale stays a scalar operand; per-channel scales are
     # gathered per chunk from a broadcast view.
-    factors = None if factor.ndim == 0 else _c_order(
-        np.broadcast_to(factor, values.shape))
-    flat_values, flat_q = _c_order(values), q.reshape(-1)
-    levels = np.empty(min(CHUNK, values.size), dtype=np.float32)
+    factors = None if factor.ndim == 0 else np.broadcast_to(factor, values.shape)
+    flat_q = q.reshape(-1)
+    size = min(CHUNK, values.size)
+    levels = np.empty(size, dtype=np.float32)
     rounded = np.empty_like(levels)
+    gathered = None if values.flags.c_contiguous else np.empty_like(levels)
+    gathered_factors = None if factors is None else np.empty(size, factor.dtype)
     for start in range(0, values.size, CHUNK):
         stop = min(start + CHUNK, values.size)
-        chunk = flat_values[start:stop]
-        chunk_factor = factor if factors is None else factors[start:stop]
+        chunk = _c_order_slice(values, start, stop, gathered)
+        chunk_factor = factor if factors is None else _c_order_slice(
+            factors, start, stop, gathered_factors)
         if stochastic:
             chunk_levels = np.multiply(chunk, chunk_factor, out=levels[: stop - start])
             result = round_stochastic(chunk_levels, rng, out=rounded[: stop - start])
@@ -135,10 +138,53 @@ def quantize(
     return q, scale
 
 
-def _c_order(array: np.ndarray):
-    """Sliceable C-order 1-D form of ``array``: a view when it is
-    C-contiguous, else its flat iterator (a slice copies just that span)."""
-    return array.reshape(-1) if array.flags.c_contiguous else array.flat
+def _c_order_slice(
+    array: np.ndarray, start: int, stop: int, buffer: Optional[np.ndarray]
+) -> np.ndarray:
+    """Elements ``[start, stop)`` of ``array`` in C order of its index.
+
+    A view when ``array`` is C-contiguous; otherwise a copy into
+    ``buffer[: stop - start]`` made of at most ``2 * ndim - 1`` strided
+    block copies, so the gather costs what a contiguous copy does
+    whatever the memory layout.
+    """
+    if array.flags.c_contiguous:
+        return array.reshape(-1)[start:stop]
+    out = buffer[: stop - start]
+    _copy_c_range(array, start, stop, out)
+    return out
+
+
+def _copy_c_range(array: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Copy C-order elements ``[start, stop)`` of ``array`` into 1-D ``out``.
+
+    The range splits into a partial leading sub-array, a block of whole
+    sub-arrays along axis 0 (one strided copy) and a partial trailing
+    sub-array; the partial ones recurse one axis down.
+    """
+    if start >= stop:
+        return
+    if array.ndim <= 1:
+        out[...] = array.reshape(-1)[start:stop]
+        return
+    inner = int(np.prod(array.shape[1:], dtype=np.int64))
+    first, head = divmod(start, inner)
+    last, tail = divmod(stop, inner)
+    if first == last:
+        _copy_c_range(array[first], head, tail, out)
+        return
+    done = 0
+    if head:
+        done = inner - head
+        _copy_c_range(array[first], head, inner, out[:done])
+        first += 1
+    if last > first:
+        block = (last - first) * inner
+        out[done : done + block].reshape(
+            (last - first,) + array.shape[1:])[...] = array[first:last]
+        done += block
+    if tail:
+        _copy_c_range(array[last], 0, tail, out[done:])
 
 
 def dequantize(

@@ -8,8 +8,8 @@ One execution layer for every workload:
   same plan code.
 * :mod:`repro.runtime.backends` hosts the kernel backends: ``reference``
   (the seed NumPy arithmetic, the correctness oracle) and ``fast``
-  (exact-float32 BLAS integer GEMMs and depthwise einsums with
-  preallocated scratch).  Select with the ``REPRO_BACKEND`` environment
+  (exact-float32 BLAS integer GEMMs, depthwise einsums and shifted taps,
+  with preallocated scratch).  Select with the ``REPRO_BACKEND`` environment
   variable, :func:`set_default_backend`, a config's ``backend`` field or
   the CLI ``--backend`` flag; both backends are bit-identical.
 * :mod:`repro.runtime.instrument` is the module tap: an

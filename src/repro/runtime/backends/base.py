@@ -52,6 +52,37 @@ class Backend:
         """Exact integer depthwise weight gradient ``pc,pck->ck``."""
         raise NotImplementedError
 
+    def int8_depthwise_taps(
+        self,
+        x_q: np.ndarray,
+        weight_q: np.ndarray,
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        """Exact integer depthwise convolution of an NHWC input.
+
+        ``x_q`` is ``(N, H, W, C)`` (zero padding is implied) and
+        ``weight_q`` is ``(C, kh, kw)``; returns the ``(N, out_h, out_w,
+        C)`` accumulator, summed tap by tap, in a backend-specific dtype
+        holding exact integers.
+        """
+        raise NotImplementedError
+
+    def int8_depthwise_taps_grad(
+        self,
+        grad_q: np.ndarray,
+        x_q: np.ndarray,
+        kernel: Tuple[int, int],
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        """Exact integer depthwise weight gradient of an NHWC input.
+
+        ``grad_q`` is ``(N, out_h, out_w, C)`` and ``x_q`` ``(N, H, W,
+        C)``; returns the ``(C, kh, kw)`` sums over every output position.
+        """
+        raise NotImplementedError
+
     def rowwise_quantized_gemm(
         self,
         x: np.ndarray,

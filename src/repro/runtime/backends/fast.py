@@ -10,7 +10,8 @@ order of magnitude faster than NumPy's non-BLAS integer matmul.  The
 depthwise products use the same window: the forward reduces over one
 kernel window per (position, channel), and the weight gradient reduces over
 row tiles of at most :data:`EXACT_GRAD_ROWS` positions whose exact float32
-partial sums are added in int64.
+partial sums are added in int64.  The training depthwise kernels, which run
+as shifted taps over the padded input, keep both bounds.
 
 Operand staging (int8 -> float32 casts, quantization levels) goes through
 per-thread preallocated scratch buffers so the serving hot path stops paying
@@ -32,6 +33,8 @@ import numpy as np
 
 from repro.runtime.backends.reference import (
     ReferenceBackend,
+    depthwise_tap_grad,
+    depthwise_taps,
     integer_matmul,
     rowwise_levels,
     rowwise_scales,
@@ -92,6 +95,21 @@ class FastBackend(ReferenceBackend):
         out[...] = values
         return out
 
+    def _stage_padded(
+        self, tag: str, x_q: np.ndarray, padding: Tuple[int, int]
+    ) -> np.ndarray:
+        """Cast an NHWC operand into a staged, zero-padded float32 buffer."""
+        batch, height, width, channels = x_q.shape
+        pad_h, pad_w = padding
+        out = self._scratch(
+            tag, (batch, height + 2 * pad_h, width + 2 * pad_w, channels))
+        out[:, :pad_h] = 0
+        out[:, pad_h + height:] = 0
+        out[:, pad_h : pad_h + height, :pad_w] = 0
+        out[:, pad_h : pad_h + height, pad_w + width:] = 0
+        out[:, pad_h : pad_h + height, pad_w : pad_w + width] = x_q
+        return out
+
     # ------------------------------------------------------------------ #
     def int8_gemm(self, lhs_q: np.ndarray, rhs_q: np.ndarray) -> np.ndarray:
         # Raw int8 operands may contain -128 on either side, so both
@@ -147,6 +165,55 @@ class FastBackend(ReferenceBackend):
                 cols_q[r0:r1].astype(np.float32),
             ).astype(np.int64)
         return out
+
+    def int8_depthwise_taps(
+        self,
+        x_q: np.ndarray,
+        weight_q: np.ndarray,
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        # Each output sums kernel_area products bounded by 128^2, as in
+        # int8_depthwise; the result is float32 holding exact integers.
+        kernel_area = weight_q.shape[1] * weight_q.shape[2]
+        if not (
+            x_q.dtype == np.int8
+            and weight_q.dtype == np.int8
+            and exact_f32_possible(kernel_area, qmax=128, rhs_max=128)
+        ):
+            return super().int8_depthwise_taps(x_q, weight_q, stride, padding)
+        return depthwise_taps(
+            self._stage_padded("taps_x", x_q, padding),
+            weight_q.astype(np.float32),
+            stride,
+        )
+
+    def int8_depthwise_taps_grad(
+        self,
+        grad_q: np.ndarray,
+        x_q: np.ndarray,
+        kernel: Tuple[int, int],
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        # Each tap's products are summed over row tiles of at most
+        # EXACT_GRAD_ROWS positions (exact float32 partial sums, as in
+        # int8_depthwise_grad) and the tile sums are added in int64.
+        if not (grad_q.dtype == np.int8 and x_q.dtype == np.int8
+                and grad_q.size):
+            return super().int8_depthwise_taps_grad(
+                grad_q, x_q, kernel, stride, padding)
+        starts = np.arange(0, grad_q.size // grad_q.shape[-1], EXACT_GRAD_ROWS)
+
+        def exact_sum(products: np.ndarray) -> np.ndarray:
+            tiles = np.add.reduceat(products, starts, axis=0)
+            return tiles.astype(np.int64).sum(axis=0)
+
+        return depthwise_tap_grad(
+            self._stage_f32("taps_grad", grad_q),
+            self._stage_padded("taps_x", x_q, padding),
+            kernel, stride, exact_sum,
+        )
 
     def rowwise_quantized_gemm(
         self,

@@ -138,6 +138,31 @@ def int8_depthwise_grad(
     return active_backend(backend).int8_depthwise_grad(grad_q, cols_q)
 
 
+def int8_depthwise_taps(
+    x_q: np.ndarray,
+    weight_q: np.ndarray,
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    backend: BackendLike = None,
+) -> np.ndarray:
+    """Exact integer depthwise convolution of an NHWC input, tap by tap."""
+    return active_backend(backend).int8_depthwise_taps(
+        x_q, weight_q, stride, padding)
+
+
+def int8_depthwise_taps_grad(
+    grad_q: np.ndarray,
+    x_q: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    backend: BackendLike = None,
+) -> np.ndarray:
+    """Exact integer depthwise weight gradient of an NHWC input, tap by tap."""
+    return active_backend(backend).int8_depthwise_taps_grad(
+        grad_q, x_q, kernel, stride, padding)
+
+
 def rowwise_quantized_gemm(
     x: np.ndarray,
     rhs_q: np.ndarray,
@@ -174,6 +199,8 @@ __all__ = [
     "int8_gemm",
     "int8_depthwise",
     "int8_depthwise_grad",
+    "int8_depthwise_taps",
+    "int8_depthwise_taps_grad",
     "rowwise_quantized_gemm",
     "rowwise_quantize",
 ]

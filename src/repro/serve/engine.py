@@ -34,6 +34,7 @@ from repro.core.goodness import GoodnessFunction, build_goodness
 from repro.data.overlay import LabelOverlay
 from repro.models.base import ModelBundle
 from repro.models.registry import build_model
+from repro.nn.functional import conv_output_size, im2col
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNormBase
 from repro.obs import trace as obs_trace
@@ -144,13 +145,31 @@ class FrozenInt8Kernel:
         )
         return self._rescale(acc, x_scales)
 
-    def depthwise_forward(self, cols: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Depthwise inner product with INT8 operands (``weight`` ignored)."""
+    def depthwise_forward(
+        self,
+        x: np.ndarray,
+        weight: np.ndarray,
+        stride: Tuple[int, int],
+        padding: Tuple[int, int],
+    ) -> np.ndarray:
+        """Depthwise convolution with INT8 operands (``weight``'s values
+        ignored, its ``(C, kh, kw)`` shape read).
+
+        Each output position's patch is quantized with its own scale, so
+        the kernel unfolds ``x`` into patches first; returns the
+        ``(N, out_h, out_w, C)`` float32 output.
+        """
+        batch, channels, height, _ = x.shape
+        kernel_h, kernel_w = weight.shape[1:]
+        cols = im2col(x, (kernel_h, kernel_w), stride, padding).reshape(
+            -1, channels, kernel_h * kernel_w
+        )
         c_q, c_scales = dispatch.rowwise_quantize(
             cols, self.qmax, backend=self.backend
         )
         acc = dispatch.int8_depthwise(c_q, self.weight_q, backend=self.backend)
-        return self._rescale(acc, c_scales)
+        out_h = conv_output_size(height, kernel_h, stride[0], padding[0])
+        return self._rescale(acc, c_scales).reshape(batch, out_h, -1, channels)
 
     # ------------------------------------------------------------------ #
     def linear_weight_grad(self, grad_output: np.ndarray, x: np.ndarray):
@@ -159,7 +178,7 @@ class FrozenInt8Kernel:
             "compute weight gradients"
         )
 
-    def depthwise_weight_grad(self, grad_matrix: np.ndarray, cols: np.ndarray):
+    def depthwise_weight_grad(self, grad, x, kernel, stride, padding):
         raise RuntimeError(
             "FrozenInt8Kernel is inference-only; exported artifacts cannot "
             "compute weight gradients"

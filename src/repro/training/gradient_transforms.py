@@ -31,9 +31,22 @@ from repro.quant.suq import fake_quantize
 from repro.utils.rng import RngLike, new_rng
 
 
+def _rounding_rng(config: QuantConfig, rng: RngLike) -> Optional[np.random.Generator]:
+    """The generator a transform rounds with; ``None`` draws nothing.
+
+    Stochastic rounding needs the caller's generator (or seed), as
+    :func:`~repro.quant.suq.quantize` does; nearest rounding needs none.
+    """
+    if rng is None:
+        if config.rounding == "stochastic":
+            raise ValueError("stochastic rounding needs a generator: pass rng")
+        return None
+    return new_rng(rng)
+
+
 def _quantize_clipped(
     grad: np.ndarray, threshold: float, config: QuantConfig,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> np.ndarray:
     """SUQ fake-quantization of ``grad`` on a grid fixed by ``threshold``.
 
@@ -93,7 +106,7 @@ class DirectInt8Gradient(GradientTransform):
         self.config = config if config is not None else QuantConfig(rounding="nearest")
         self.static_scale = static_scale
         self.calibration_steps = max(1, int(calibration_steps))
-        self._rng = new_rng(rng)
+        self._rng = _rounding_rng(self.config, rng)
         self._calibrated_scale: Dict[str, float] = {}
         self._observations: Dict[str, int] = {}
 
@@ -138,7 +151,7 @@ class UI8Gradient(GradientTransform):
             raise ValueError("clip_candidates must not be empty")
         self.clip_candidates = clip_candidates
         self.alpha = float(alpha)
-        self._rng = new_rng(rng)
+        self._rng = _rounding_rng(self.config, rng)
         self._max_deviation = 0.0
 
     @staticmethod
@@ -200,7 +213,7 @@ class GDAI8Gradient(GradientTransform):
         self.config = config if config is not None else QuantConfig()
         self.percentile = float(percentile)
         self.smoothing = float(smoothing)
-        self._rng = new_rng(rng)
+        self._rng = _rounding_rng(self.config, rng)
         self._running_threshold: Dict[str, float] = {}
 
     def __call__(self, param_name: str, grad: np.ndarray) -> np.ndarray:

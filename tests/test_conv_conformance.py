@@ -31,9 +31,13 @@ from repro.nn.activations import ReLU, ReLU6
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d, DepthwiseConv2d
 from repro.nn.norm import BatchNorm2d
+from repro.nn.functional import col2im, im2col
+from repro.quant.int8_ops import Int8Engine
 from repro.quant.qconfig import QuantConfig
 from repro.quant.suq import quantize
+from repro.runtime import dispatch
 from repro.runtime.backends import available_backends
+from repro.runtime.dispatch import use_backend
 from repro.runtime.executor import PlanExecutor
 from repro.serve import build_engine, export_artifact
 from repro.serve.engine import FrozenInt8Kernel
@@ -54,6 +58,20 @@ DEPTHWISE_CASES = [
     pytest.param((3, 3), (1, 1), (1, 1), 6, 8, 8, id="3x3-same"),
     pytest.param((3, 3), (2, 2), (1, 1), 4, 9, 9, id="3x3-stride2"),
     pytest.param((1, 3), (1, 1), (0, 1), 3, 1, 9, id="single-row"),
+]
+
+
+#: DEPTHWISE_CASES plus 5x5 and 7x7 kernels, an unpadded 3x3, a 3x3 padded
+#: past its half-width, a stride-2 3x3 on an even size and a column kernel
+#: strided along rows only, for the tap oracles below.
+TAP_CASES = DEPTHWISE_CASES + [
+    pytest.param((5, 5), (1, 1), (2, 2), 3, 7, 7, id="5x5-same"),
+    pytest.param((5, 5), (2, 2), (2, 2), 2, 8, 8, id="5x5-stride2"),
+    pytest.param((3, 3), (1, 1), (0, 0), 2, 6, 7, id="3x3-valid"),
+    pytest.param((7, 7), (1, 1), (3, 3), 2, 9, 9, id="7x7-same"),
+    pytest.param((3, 3), (1, 1), (2, 2), 2, 5, 6, id="3x3-pad2"),
+    pytest.param((3, 3), (2, 2), (1, 1), 3, 8, 8, id="3x3-stride2-even"),
+    pytest.param((3, 1), (2, 1), (1, 0), 3, 7, 5, id="3x1-row-stride2"),
 ]
 
 
@@ -225,8 +243,15 @@ class TestConvConformance:
 # --------------------------------------------------------------------------- #
 #: blake2b-128 of the float32 goodness matrix :func:`_trained_engine` serves
 #: for mobilenet_v2-mini (seed 0, 3x16x16 inputs).  Identical on every
-#: backend; any change to the conv path's arithmetic moves it.
-MOBILENET_GOODNESS_DIGEST = "18bbb89353791466c2fb26e90697b8eb"
+#: backend; any change to the conv path's arithmetic moves it, including
+#: the FP32 training-mode forwards that fill the BatchNorm statistics
+#: (:data:`MOBILENET_SERVING_DIGEST` pins the serving path alone).
+MOBILENET_GOODNESS_DIGEST = "ed64c2b0241df38306daaa0fdc36b2b4"
+
+#: blake2b-128 of the float32 goodness matrix an engine serves for
+#: mobilenet_v2-mini (seed 0) with drawn BatchNorm statistics: it depends
+#: on the export and serving arithmetic only.
+MOBILENET_SERVING_DIGEST = "29b75f753e80ece412c4c9b8b6afed58"
 
 
 def _trained_engine(model_name, input_shape, backend, seed=0):
@@ -288,6 +313,30 @@ class TestTrainedBatchNormGolden:
         assert matrix.shape == (5, 10)
         assert digest.hexdigest() == MOBILENET_GOODNESS_DIGEST
 
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_mobilenet_serving_matches_golden_digest(self, backend):
+        """The serving path alone, pinned: BatchNorm statistics are drawn,
+        not trained, so no training-mode arithmetic reaches the digest."""
+        bundle = build_model("mobilenet_v2-mini", input_shape=(3, 16, 16),
+                             seed=0)
+        units = bundle.ff_units()
+        rng = np.random.default_rng(31)
+        for unit in units:
+            _randomize_bn(unit, rng)
+            unit.eval()
+        artifact = export_artifact(units, bundle, overlay_amplitude=2.0)
+        engine = build_engine(
+            artifact, build_model("mobilenet_v2-mini", input_shape=(3, 16, 16),
+                                  seed=1),
+            backend=backend,
+        )
+        inputs = rng.normal(size=(5, 3, 16, 16)).astype(np.float32)
+        matrix = np.ascontiguousarray(
+            engine.goodness_matrix(inputs), dtype=np.float32
+        )
+        digest = hashlib.blake2b(matrix.tobytes(), digest_size=16)
+        assert digest.hexdigest() == MOBILENET_SERVING_DIGEST
+
     def test_training_mode_refuses_to_fold(self):
         """Training mode normalizes by batch statistics and updates them."""
         rng = np.random.default_rng(23)
@@ -323,3 +372,173 @@ class TestTrainedBatchNormGolden:
         ).forward(x)
         np.testing.assert_array_equal(eval_fast, eval_reference)
         np.testing.assert_array_equal(bn.running_mean, frozen)
+
+
+# --------------------------------------------------------------------------- #
+# shifted-tap depthwise training against the im2col lowering
+# --------------------------------------------------------------------------- #
+def _im2col_columns(x, kernel, stride, padding):
+    channels = x.shape[1]
+    return im2col(x, kernel, stride, padding).reshape(
+        -1, channels, kernel[0] * kernel[1])
+
+
+def _out_size(height, width, kernel, stride, padding):
+    return tuple((size + 2 * pad - k) // step + 1 for size, k, step, pad in
+                 zip((height, width), kernel, stride, padding))
+
+
+def _rescaled(acc, scale_a, scale_b):
+    return (acc.astype(np.float64) * (float(scale_a) * float(scale_b))).astype(
+        np.float32)
+
+
+class TestDepthwiseTapOracles:
+    """The training depthwise layer quantizes its input once and sums shifted
+    taps; these oracles are the im2col form it replaced.  Under nearest
+    rounding the two quantize the same values on the same scales (every
+    input element lies in some window of these cases), so the forward and
+    the weight gradient match bit for bit; the input gradient matches
+    ``col2im`` of the per-tap products for any rounding."""
+
+    NEAREST = QuantConfig(bits=8, rounding="nearest")
+
+    @staticmethod
+    def _inputs(rng, channels, height, width, layout):
+        shape = (3, channels, height, width)
+        if layout == "nhwc":
+            # The layout Conv2d, BatchNorm and ReLU6 outputs have.
+            nhwc = rng.normal(size=(3, height, width, channels))
+            return nhwc.astype(np.float32).transpose(0, 3, 1, 2)
+        return rng.normal(size=shape).astype(np.float32)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize(
+        "kernel, stride, padding, channels, height, width", TAP_CASES
+    )
+    def test_int8_nearest_matches_im2col(
+        self, kernel, stride, padding, channels, height, width, layout,
+        backend,
+    ):
+        rng = np.random.default_rng(41)
+        layer = DepthwiseConv2d(channels, kernel, stride=stride,
+                                padding=padding, rng=5)
+        layer.quant_engine = Int8Engine(self.NEAREST)
+        x = self._inputs(rng, channels, height, width, layout)
+        with use_backend(backend):
+            out = layer(x)
+        cols = _im2col_columns(x, kernel, stride, padding)
+        c_q, c_scale = quantize(cols, self.NEAREST)
+        w_q, w_scale = quantize(
+            layer.weight.data.reshape(channels, -1), self.NEAREST)
+        want = _rescaled(
+            dispatch.int8_depthwise(c_q, w_q, backend="reference"),
+            c_scale, w_scale)
+        got = out.transpose(0, 2, 3, 1).reshape(-1, channels)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+        grad_output = rng.normal(size=out.shape).astype(np.float32)
+        with use_backend(backend):
+            layer.accumulate_param_grads(grad_output)
+        grad_matrix = np.ascontiguousarray(
+            grad_output.transpose(0, 2, 3, 1).reshape(-1, channels))
+        g_q, g_scale = quantize(grad_matrix, self.NEAREST)
+        want_grad = _rescaled(
+            dispatch.int8_depthwise_grad(g_q, c_q, backend="reference"),
+            g_scale, c_scale)
+        assert layer.weight.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel, stride, padding, channels, height, width", TAP_CASES
+    )
+    def test_input_grad_matches_col2im(
+        self, kernel, stride, padding, channels, height, width
+    ):
+        rng = np.random.default_rng(43)
+        layer = DepthwiseConv2d(channels, kernel, stride=stride,
+                                padding=padding, rng=6)
+        # Zero weights and signed zero gradients give -0.0 products; channel
+        # 0 receives nothing else, and its sums must be +0.0.
+        layer.weight.data[:, :, 0, 0] = 0.0
+        x = self._inputs(rng, channels, height, width, "nhwc")
+        out = layer(x)
+        grad_output = rng.normal(size=out.shape).astype(np.float32)
+        grad_output[:, 0] = -0.0
+        grad_output[:, :, ::3] = -0.0
+        grad_output[:, :, 1::3] = 0.0
+        got = layer.input_grad(grad_output)
+        assert (got[:, 0] == 0.0).all() and not np.signbit(got[:, 0]).any()
+        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, channels)
+        grad_cols = np.einsum(
+            "pc,ck->pck", grad_matrix,
+            layer.weight.data.reshape(channels, -1)).reshape(len(grad_matrix), -1)
+        want = col2im(grad_cols, x.shape, kernel, stride, padding).astype(
+            np.float32)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel, stride, padding, channels, height, width", TAP_CASES
+    )
+    def test_fp32_matches_im2col_within_float32_rounding(
+        self, kernel, stride, padding, channels, height, width
+    ):
+        """FP32 taps sum the same products in another order: each result is
+        within ``terms * eps32`` of the sum of the products' magnitudes."""
+        rng = np.random.default_rng(47)
+        layer = DepthwiseConv2d(channels, kernel, stride=stride,
+                                padding=padding, rng=7)
+        x = self._inputs(rng, channels, height, width, "nhwc")
+        out = layer(x)
+        grad_output = rng.normal(size=out.shape).astype(np.float32)
+        layer.accumulate_param_grads(grad_output)
+        cols = _im2col_columns(x, kernel, stride, padding).astype(np.float64)
+        weight = layer.weight.data.reshape(channels, -1).astype(np.float64)
+        grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(
+            -1, channels).astype(np.float64)
+        eps = float(np.finfo(np.float32).eps)
+        for got, want, magnitude, terms in (
+            (out.transpose(0, 2, 3, 1).reshape(-1, channels),
+             np.einsum("pck,ck->pc", cols, weight),
+             np.einsum("pck,ck->pc", np.abs(cols), np.abs(weight)),
+             weight.shape[1]),
+            (layer.weight.grad.reshape(channels, -1),
+             np.einsum("pc,pck->ck", grad_matrix, cols),
+             np.einsum("pc,pck->ck", np.abs(grad_matrix), np.abs(cols)),
+             len(cols)),
+        ):
+            assert (np.abs(got - want) <= terms * eps * magnitude).all()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "kernel, stride, padding, channels, height, width", DEPTHWISE_CASES
+    )
+    def test_frozen_kernel_patches_match_im2col_in_any_layout(
+        self, kernel, stride, padding, channels, height, width, backend
+    ):
+        """Serving builds its per-position patches from x itself: an
+        NHWC-strided input serves the bytes of its contiguous copy, and both
+        equal per-row quantized im2col columns through ``int8_depthwise``."""
+        rng = np.random.default_rng(53)
+        weight_q = rng.integers(-127, 128, size=(channels, *kernel)).astype(
+            np.int8)
+        weight_scale = np.float64(0.02)
+        frozen = FrozenInt8Kernel(weight_q.reshape(channels, -1),
+                                  weight_scale, backend=backend)
+        x = self._inputs(rng, channels, height, width, "nhwc")
+        got = frozen.depthwise_forward(x, weight_q, stride, padding)
+        contiguous = frozen.depthwise_forward(
+            np.ascontiguousarray(x), weight_q, stride, padding)
+        assert got.tobytes() == contiguous.tobytes()
+        cols = _im2col_columns(x, kernel, stride, padding)
+        c_q, c_scales = dispatch.rowwise_quantize(cols, 127,
+                                                  backend="reference")
+        acc = dispatch.int8_depthwise(c_q, weight_q.reshape(channels, -1),
+                                      backend="reference")
+        want = acc.astype(np.float32)
+        want *= c_scales[:, None]
+        want *= np.float32(weight_scale)
+        assert got.shape == (3, *_out_size(height, width, kernel, stride,
+                                           padding), channels)
+        assert got.reshape(-1, channels).tobytes() == want.tobytes()

@@ -348,3 +348,29 @@ class TestFFTrainers:
                               evaluate_every=5, seed=0)
         history = FFInt8Trainer(config).fit(bundle, train, test)
         assert history.records[0].lambda_value == 0.25
+
+    def test_ff_int8_fits_efficientnet_mini(self):
+        """Smoke test of the depthwise training path with 3x3 and 5x5 taps,
+        stride 2 and SqueezeExcite: every λ > 0 step's loss is finite and
+        every depthwise weight moves."""
+        from repro.data import synthetic_cifar10
+        from repro.models import build_model
+        from repro.nn import DepthwiseConv2d
+
+        train, test = synthetic_cifar10(num_train=48, num_test=16, seed=2,
+                                        image_size=16)
+        bundle = build_model("efficientnet_b0-mini", input_shape=(3, 16, 16),
+                             seed=2)
+        depthwise = [module for unit in bundle.ff_units()
+                     for module in unit.modules()
+                     if isinstance(module, DepthwiseConv2d)]
+        assert {module.kernel_size for module in depthwise} == {(3, 3), (5, 5)}
+        before = [module.weight.data.copy() for module in depthwise]
+        config = FFInt8Config(epochs=2, batch_size=16,
+                              lambda_schedule=ConstantLambda(0.25),
+                              evaluate_every=2, eval_max_samples=16,
+                              train_eval_max_samples=16, seed=2)
+        history = FFInt8Trainer(config).fit(bundle, train, test)
+        assert np.isfinite(history.train_losses).all()
+        assert all(not np.array_equal(module.weight.data, old)
+                   for module, old in zip(depthwise, before))

@@ -41,13 +41,13 @@ INPUT_SHAPES = {
 }
 
 
-def _setup(model, int8, batch=8, seed=0):
+def _setup(model, int8, batch=8, seed=0, rounding="stochastic"):
     """FF units of ``model`` with a positive and a negative half-batch."""
     shape = INPUT_SHAPES[model]
     bundle = build_model(model, input_shape=shape, seed=seed)
     units = bundle.ff_units()
     if int8:
-        config = QuantConfig(bits=8, rounding="stochastic")
+        config = QuantConfig(bits=8, rounding=rounding)
         for index, unit in enumerate(units):
             prepare_int8(unit, config, seed=seed + index)
     rng = np.random.default_rng(seed)
@@ -131,8 +131,8 @@ def test_one_sweep_matches_two_sweep_formula_fp32(model, formula, lam):
                                        atol=1e-5 * scale, err_msg=param.name)
 
 
-def _int8_step_digest(lam):
-    units, executor, halves = _setup("mobilenet_v2-mini", int8=True)
+def _int8_step_digest(lam, model="mobilenet_v2-mini", rounding="stochastic"):
+    units, executor, halves = _setup(model, int8=True, rounding=rounding)
     for positive, batch in halves:
         grads = _activity_grads(executor, batch, positive)
         accumulate_lookahead_gradients(units, grads, lam)
@@ -142,19 +142,32 @@ def _int8_step_digest(lam):
     return digest.hexdigest()
 
 
-# The id names the two-sweep formula the digest was recorded with.
+# The id names the two-sweep formula the digest was recorded with, and
+# the digest's first eight hex digits.
 @pytest.mark.parametrize("lam, expected", [
-    pytest.param(0.0, "8f073ecbcd35cebf63c9d046b44e6d3a",
-                 id="0.0-chained-8f073ecbcd35cebf63c9d046b44e6d3a"),
+    pytest.param(0.0, "dbb18957092042b8a8ddc75bd47f1810",
+                 id="0.0-chained-dbb18957"),
 ])
 def test_int8_local_gradients_match_two_sweep_digest(lam, expected):
     """Where no cross-unit term exists, the quantized signals are unchanged.
 
-    The digest was recorded with the two-sweep code: at λ = 0 both quantize
-    each unit's own activity gradient, in the same order, so every
-    parameter gradient is bit-identical.
+    The digest was recorded with the two-sweep formula (``_two_sweep``):
+    at λ = 0 both quantize each unit's own activity gradient, in the same
+    order, so every parameter gradient is bit-identical.
     """
     assert _int8_step_digest(lam) == expected
+
+
+# Recorded before the depthwise layer moved from im2col'd columns to
+# shifted taps over its input: under nearest rounding both forms quantize
+# the same values on the same scales and sum the same integer products, so
+# the activity gradients and every parameter gradient are unchanged.
+@pytest.mark.parametrize("model, expected", [
+    ("mobilenet_v2-mini", "0de00e78173b4f501a8db7b00541e070"),
+    ("efficientnet_b0-mini", "8a67bf19d91a67cb6839786372076a29"),
+])
+def test_int8_nearest_sweep_matches_im2col_digest(model, expected):
+    assert _int8_step_digest(0.3, model, rounding="nearest") == expected
 
 
 def test_one_weight_gradient_per_layer_and_no_input_gradient_below_unit_0(
@@ -169,18 +182,20 @@ def test_one_weight_gradient_per_layer_and_no_input_gradient_below_unit_0(
                 calls[_key] += 1
                 return _inner(*args)
             monkeypatch.setattr(engine, name, spy)
-    col2im_callers = []
-
-    def col2im_spy(*args, _inner=conv.col2im):
-        col2im_callers.append(inspect.currentframe().f_back.f_locals["self"])
-        return _inner(*args)
-
-    monkeypatch.setattr(conv, "col2im", col2im_spy)
+    # Conv2d folds its input gradient with col2im; DepthwiseConv2d adds
+    # its taps with depthwise_input_grad.
+    callers = {"col2im": [], "depthwise_input_grad": []}
+    for name, found in callers.items():
+        def spy(*args, _inner=getattr(conv, name), _found=found):
+            _found.append(inspect.currentframe().f_back.f_locals["self"])
+            return _inner(*args)
+        monkeypatch.setattr(conv, name, spy)
     for positive, batch in halves:
         grads = _activity_grads(executor, batch, positive)
         calls.update((key, 0) for key in calls)
         accumulate_lookahead_gradients(units, grads, 0.3)
         assert set(calls.values()) == {1}
     unit0 = {id(module) for module in units[0].modules()}
-    assert col2im_callers, "units above unit 0 propagate input gradients"
-    assert not any(id(caller) in unit0 for caller in col2im_callers)
+    for name, found in callers.items():
+        assert found, f"units above unit 0 propagate input gradients ({name})"
+        assert not any(id(caller) in unit0 for caller in found), name

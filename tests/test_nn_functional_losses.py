@@ -47,6 +47,63 @@ class TestIm2Col:
         np.testing.assert_array_equal(cols[-1], [10, 11, 14, 15])
 
 
+class TestPointwiseIm2Col:
+    """1x1, stride 1, unpadded: im2col is the NHWC pixels and col2im their
+    NCHW fold, as the zeros-then-add general path gives them."""
+
+    def test_im2col_is_an_nhwc_copy(self):
+        base = np.random.default_rng(2).normal(size=(2, 5, 4, 3))
+        for x in (base.astype(np.float32),
+                  base.astype(np.float32).transpose(0, 3, 1, 2)):
+            cols = im2col(x, (1, 1), (1, 1), (0, 0))
+            want = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(
+                -1, x.shape[1])
+            assert cols.flags.c_contiguous and cols.dtype == x.dtype
+            assert cols.tobytes() == want.tobytes()
+            assert not np.shares_memory(cols, x)
+
+    def test_col2im_folds_with_positive_zeros(self):
+        cols = np.random.default_rng(3).normal(size=(2 * 5 * 4, 3)).astype(
+            np.float32)
+        cols[::2, 1] = -0.0
+        folded = col2im(cols, (2, 3, 5, 4), (1, 1), (1, 1), (0, 0))
+        want = np.zeros((2, 3, 5, 4), dtype=np.float32)
+        want += cols.reshape(2, 5, 4, 3).transpose(0, 3, 1, 2)
+        assert folded.flags.c_contiguous and folded.dtype == np.float32
+        assert folded.tobytes() == want.tobytes()
+        zeros = folded[:, 1][folded[:, 1] == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+
+
+    @pytest.mark.parametrize("stride, padding", [
+        ((2, 2), (0, 0)),
+        ((1, 1), (1, 1)),
+        ((1, 2), (0, 0)),
+        ((1, 1), (0, 1)),
+    ], ids=["stride2", "padded", "stride-w", "padded-w"])
+    def test_strided_or_padded_1x1_matches_naive_loops(self, stride,
+                                                       padding):
+        """A 1x1 kernel that strides or pads is not a pointwise copy; both
+        directions still match a loop over output positions."""
+        x = np.random.default_rng(4).normal(size=(2, 3, 5, 4)).astype(
+            np.float32)
+        padded = np.pad(x, ((0, 0), (0, 0), (padding[0],) * 2,
+                            (padding[1],) * 2))
+        pixels = padded[:, :, ::stride[0], ::stride[1]]
+        want = np.ascontiguousarray(pixels.transpose(0, 2, 3, 1)).reshape(
+            -1, 3)
+        cols = im2col(x, (1, 1), stride, padding)
+        assert cols.tobytes() == want.tobytes()
+        folded_padded = np.zeros_like(padded)
+        folded_padded[:, :, ::stride[0], ::stride[1]] += want.reshape(
+            pixels.shape[0], pixels.shape[2], pixels.shape[3], 3).transpose(
+            0, 3, 1, 2)
+        folded = col2im(cols, x.shape, (1, 1), stride, padding)
+        want_folded = folded_padded[:, :, padding[0]:padding[0] + 5,
+                                    padding[1]:padding[1] + 4]
+        np.testing.assert_array_equal(folded, want_folded)
+
+
 class TestSoftmaxFamily:
     def test_softmax_sums_to_one(self):
         logits = np.random.default_rng(1).normal(size=(5, 7)) * 10

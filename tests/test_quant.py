@@ -9,6 +9,7 @@ import pytest
 from repro import FFInt8Config, FFInt8Trainer, build_model
 from repro.data import synthetic_cifar10
 from repro.nn import Conv2d, Linear, Sequential
+from repro.nn.functional import im2col
 from repro.quant import (
     Int8Engine,
     QuantConfig,
@@ -69,6 +70,10 @@ class TestRounding:
     def test_stochastic_exact_integers_unchanged(self):
         values = np.array([-2.0, 0.0, 3.0])
         np.testing.assert_array_equal(round_stochastic(values, rng=0), values)
+
+    def test_stochastic_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            round_stochastic(np.array([0.5, 1.5]))
 
 
 class TestSUQ:
@@ -132,6 +137,52 @@ class TestStreamingQuantize:
         quantize(values, QuantConfig(rounding="nearest"))
         Int8Engine(QuantConfig(rounding="nearest"))
 
+    @pytest.mark.parametrize("rounding", ["stochastic", "nearest"])
+    def test_strided_input_matches_contiguous_copy(self, rounding):
+        """Layout does not matter: an NHWC-strided (N, C, H, W) tensor, as
+        Conv2d, BatchNorm and ReLU6 return it, and an F-ordered or reversed
+        view give its contiguous copy's levels and leave the generator in
+        the same state.  Each spans two chunks, split mid-row."""
+        base = np.random.default_rng(7).normal(size=(9, 7, 11, 32))
+        views = [base.astype(np.float32).transpose(0, 3, 1, 2)]
+        odd = np.random.default_rng(8).normal(size=(11, 3, 1031))
+        views += [np.asfortranarray(odd.astype(np.float32)),
+                  odd.astype(np.float32)[:, ::-1, ::2]]
+        config = QuantConfig(rounding=rounding)
+        for values in views:
+            assert not values.flags.c_contiguous and values.size > CHUNK
+            rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+            q, scale = quantize(values, config, rng=rng_a)
+            want, want_scale = quantize(np.ascontiguousarray(values), config,
+                                        rng=rng_b)
+            np.testing.assert_array_equal(q, want)
+            assert scale == want_scale
+            assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
+        q, scale = quantize(views[0], config, axis=1, rng=0)
+        want, want_scale = quantize(np.ascontiguousarray(views[0]), config,
+                                    axis=1, rng=0)
+        np.testing.assert_array_equal(q, want)
+        np.testing.assert_array_equal(scale, want_scale)
+
+    @pytest.mark.parametrize("axis", [0, 2, 3, -1])
+    @pytest.mark.parametrize("rounding", ["stochastic", "nearest"])
+    def test_strided_per_axis_scales_match_contiguous_copy(self, rounding,
+                                                           axis):
+        """Per-channel scales along any axis of an NHWC-strided (N, C, H, W)
+        tensor give its contiguous copy's levels, scales and end state."""
+        base = np.random.default_rng(10).normal(size=(9, 7, 11, 32))
+        values = base.astype(np.float32).transpose(0, 3, 1, 2)
+        assert not values.flags.c_contiguous and values.size > CHUNK
+        config = QuantConfig(rounding=rounding)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        q, scale = quantize(values, config, axis=axis, rng=rng_a)
+        want, want_scale = quantize(np.ascontiguousarray(values), config,
+                                    axis=axis, rng=rng_b)
+        np.testing.assert_array_equal(q, want)
+        np.testing.assert_array_equal(scale, want_scale)
+        assert scale.shape == (values.shape[axis],)
+        assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
+
     def test_levels_divide_in_float64(self):
         # 2.5 / (1 + 1e-10) lies just below 2.5 in float64, at 2.5 in float32.
         values = np.array([2.5, -2.5], dtype=np.float32)
@@ -160,7 +211,7 @@ class TestStreamingQuantize:
         config = FFInt8Config(epochs=3, batch_size=32, evaluate_every=10 ** 6, seed=3)
         history = FFInt8Trainer(config).fit(bundle, train_set)
         assert history.records[-1].lambda_value > 0.0
-        assert history.train_losses[-1] == 210.8124332663397
+        assert history.train_losses[-1] == 210.75821501503933
 
 
 class TestStochasticRoundingStatistics:
@@ -278,12 +329,46 @@ class TestInt8Engine:
     def test_depthwise_forward(self):
         rng = np.random.default_rng(10)
         engine = Int8Engine(QuantConfig(rounding="nearest"))
-        cols = rng.normal(size=(20, 4, 9)).astype(np.float32)
-        w = rng.normal(size=(4, 9)).astype(np.float32)
-        approx = engine.depthwise_forward(cols, w)
-        exact = np.einsum("pck,ck->pc", cols, w)
+        x = rng.normal(size=(2, 4, 5, 6)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3)).astype(np.float32)
+        approx = engine.depthwise_forward(x, w, (1, 1), (1, 1))
+        cols = im2col(x, (3, 3), (1, 1), (1, 1)).reshape(-1, 4, 9)
+        exact = np.einsum("pck,ck->pc", cols, w.reshape(4, 9))
+        approx = approx.reshape(-1, 4)
         error = np.abs(approx - exact).mean() / (np.abs(exact).mean() + 1e-9)
         assert error < 0.06
+
+
+    @pytest.mark.parametrize("step", ["forward", "weight_grad"])
+    def test_depthwise_rounds_each_input_element_once(self, step):
+        """Stochastic rounding of the depthwise input draws once per element
+        of x in NHWC order, not once per im2col replica: the engine equals
+        quantizing x itself and leaves the generator where that does."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 4, 6, 5)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 3)).astype(np.float32)
+        grad = rng.normal(size=(2, 6, 5, 4)).astype(np.float32)
+        config = QuantConfig()
+        engine = Int8Engine(config, rng=np.random.default_rng(13))
+        manual = np.random.default_rng(13)
+        x_nhwc = x.transpose(0, 2, 3, 1)
+        if step == "forward":
+            got = engine.depthwise_forward(x, w, (1, 1), (1, 1))
+            x_q, x_scale = quantize(x_nhwc, config, rng=manual)
+            w_q, w_scale = quantize(w, config, rng=manual)
+            acc = dispatch.int8_depthwise_taps(x_q, w_q, (1, 1), (1, 1))
+            scales = float(x_scale) * float(w_scale)
+        else:
+            got = engine.depthwise_weight_grad(grad, x, (3, 3), (1, 1),
+                                               (1, 1))
+            g_q, g_scale = quantize(grad, config, rng=manual)
+            x_q, x_scale = quantize(x_nhwc, config, rng=manual)
+            acc = dispatch.int8_depthwise_taps_grad(g_q, x_q, (3, 3), (1, 1),
+                                                    (1, 1))
+            scales = float(g_scale) * float(x_scale)
+        want = (acc.astype(np.float64) * scales).astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+        assert engine._rng.integers(2 ** 62) == manual.integers(2 ** 62)
 
 
 class TestPrepare:

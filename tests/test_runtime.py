@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import FFGoodnessClassifier
 from repro.data.overlay import LabelOverlay
 from repro.models import build_mlp, build_model
+from repro.nn.functional import im2col
 from repro.nn.linear import Linear
 from repro.quant import QuantConfig, prepare_int8
 from repro.runtime import (
@@ -538,6 +539,145 @@ class TestFastDepthwise:
         self._assert_parity(cols, weight, grad)
         assert FastBackend().int8_depthwise(cols, weight).shape == (0, 4)
         assert not FastBackend().int8_depthwise_grad(grad, cols).any()
+
+
+class TestDepthwiseTaps:
+    """The shifted-tap depthwise kernels: ``fast`` against ``reference``
+    bit for bit, and both against the column-form kernels over im2col."""
+
+    @staticmethod
+    def _assert_parity(x_q, weight_q, grad_q, stride, padding):
+        kernel = weight_q.shape[1:]
+        reference, fast = ReferenceBackend(), FastBackend()
+        want = reference.int8_depthwise_taps(x_q, weight_q, stride, padding)
+        got = fast.int8_depthwise_taps(x_q, weight_q, stride, padding)
+        assert got.shape == want.shape == grad_q.shape
+        np.testing.assert_array_equal(got, want)
+        want_grad = reference.int8_depthwise_taps_grad(
+            grad_q, x_q, kernel, stride, padding)
+        got_grad = fast.int8_depthwise_taps_grad(
+            grad_q, x_q, kernel, stride, padding)
+        assert got_grad.dtype == want_grad.dtype == np.int64
+        np.testing.assert_array_equal(got_grad, want_grad)
+        return want, want_grad
+
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 6),
+        size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_taps_match_column_kernels(self, batch, channels, size, kernel,
+                                       stride, padding, seed):
+        out_size = [(size[i] + 2 * padding[i] - kernel[i]) // stride[i] + 1
+                    for i in range(2)]
+        if min(out_size) <= 0:
+            return
+        rng = np.random.default_rng(seed)
+        x_q = _int8(rng, (batch, *size, channels))
+        weight_q = _int8(rng, (channels, *kernel))
+        grad_q = _int8(rng, (batch, *out_size, channels))
+        out, grad_w = self._assert_parity(x_q, weight_q, grad_q, stride,
+                                          padding)
+        cols = im2col(x_q.transpose(0, 3, 1, 2), kernel, stride, padding)
+        cols = cols.reshape(-1, channels, kernel[0] * kernel[1])
+        reference = ReferenceBackend()
+        np.testing.assert_array_equal(
+            out.reshape(-1, channels),
+            reference.int8_depthwise(cols, weight_q.reshape(channels, -1)))
+        np.testing.assert_array_equal(
+            grad_w.reshape(channels, -1),
+            reference.int8_depthwise_grad(grad_q.reshape(-1, channels), cols))
+
+    def test_tap_grad_beyond_exact_window(self):
+        # 3 x 24 x 32 = 2304 positions per tap: more than two exact-float32
+        # tiles, so the partial sums chain through the int64 reduction.
+        # Products of one sign and random parity: a float32 sum past 2^24,
+        # in any order, would round.
+        assert 3 * 24 * 32 > 2 * EXACT_GRAD_ROWS
+        rng = np.random.default_rng(6)
+        x_q = rng.integers(100, 128, size=(3, 26, 34, 2)).astype(np.int8)
+        grad_q = rng.integers(100, 128, size=(3, 24, 32, 2)).astype(np.int8)
+        weight_q = np.full((2, 3, 3), -128, dtype=np.int8)
+        _, grad_w = self._assert_parity(x_q, weight_q, grad_q, (1, 1), (0, 0))
+        assert (grad_w > 2 ** 24).all()
+        # All -128: every tile sits at the top of the exact window.
+        x_q[:] = -128
+        grad_q[:] = -128
+        _, grad_w = self._assert_parity(x_q, weight_q, grad_q, (1, 1), (0, 0))
+        assert (grad_w == 3 * 24 * 32 * 128 * 128).all()
+
+    @pytest.mark.parametrize("kernel, stride, padding", [
+        ((1, 1), (1, 1), (0, 0)),
+        ((3, 3), (1, 1), (1, 1)),
+        ((5, 5), (2, 2), (2, 2)),
+        ((7, 7), (1, 1), (3, 3)),
+    ], ids=["1x1", "3x3", "5x5-stride2", "7x7"])
+    def test_extreme_operands_stay_exact(self, kernel, stride, padding):
+        # All -128: the largest products, one sign, at the top of the
+        # forward's exact window; interior outputs see every tap.
+        x_q = np.full((2, 9, 9, 3), -128, dtype=np.int8)
+        weight_q = np.full((3, *kernel), -128, dtype=np.int8)
+        out_h = (9 + 2 * padding[0] - kernel[0]) // stride[0] + 1
+        out_w = (9 + 2 * padding[1] - kernel[1]) // stride[1] + 1
+        grad_q = np.full((2, out_h, out_w, 3), -128, dtype=np.int8)
+        out, grad_w = self._assert_parity(x_q, weight_q, grad_q, stride,
+                                          padding)
+        row = padding[0] // stride[0]
+        col = padding[1] // stride[1]
+        assert (out[:, row, col] == kernel[0] * kernel[1] * 128 * 128).all()
+        assert out.max() == kernel[0] * kernel[1] * 128 * 128
+        assert (grad_w > 0).all()
+
+    def test_kernel_area_past_exact_window_falls_back(self):
+        # 33 x 33 taps of 127 * 127 sum to 17,564,481: odd and past 2^24,
+        # so a float32 accumulation would round it.
+        assert not exact_f32_possible(33 * 33, qmax=128, rhs_max=128)
+        x_q = np.full((1, 33, 33, 2), 127, dtype=np.int8)
+        weight_q = np.full((2, 33, 33), 127, dtype=np.int8)
+        grad_q = np.ones((1, 1, 1, 2), dtype=np.int8)
+        out, _ = self._assert_parity(x_q, weight_q, grad_q, (1, 1), (0, 0))
+        assert (out == 33 * 33 * 127 * 127).all()
+        assert 33 * 33 * 127 * 127 > 2 ** 24
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_strided_operands_match_contiguous_copies(self, backend):
+        # NHWC views of NCHW arrays, as a transposed layer input is.
+        rng = np.random.default_rng(8)
+        x_q = _int8(rng, (2, 4, 7, 6)).transpose(0, 2, 3, 1)
+        grad_q = _int8(rng, (2, 4, 4, 3)).transpose(0, 2, 3, 1)
+        weight_q = _int8(rng, (4, 3, 3))
+        assert not x_q.flags.c_contiguous and not grad_q.flags.c_contiguous
+        args = ((2, 2), (1, 1))
+        np.testing.assert_array_equal(
+            dispatch.int8_depthwise_taps(x_q, weight_q, *args,
+                                         backend=backend),
+            dispatch.int8_depthwise_taps(np.ascontiguousarray(x_q), weight_q,
+                                         *args, backend="reference"))
+        np.testing.assert_array_equal(
+            dispatch.int8_depthwise_taps_grad(grad_q, x_q, (3, 3), *args,
+                                              backend=backend),
+            dispatch.int8_depthwise_taps_grad(
+                np.ascontiguousarray(grad_q), np.ascontiguousarray(x_q),
+                (3, 3), *args, backend="reference"))
+
+    def test_wide_operands_fall_back_to_integers(self):
+        rng = np.random.default_rng(5)
+        x_q = rng.integers(-300, 300, size=(2, 5, 5, 3)).astype(np.int16)
+        weight_q = rng.integers(-300, 300, size=(3, 3, 3)).astype(np.int16)
+        grad_q = rng.integers(-300, 300, size=(2, 5, 5, 3)).astype(np.int16)
+        self._assert_parity(x_q, weight_q, grad_q, (1, 1), (1, 1))
+
+    def test_empty_batch(self):
+        x_q = np.zeros((0, 4, 4, 2), dtype=np.int8)
+        weight_q = np.ones((2, 3, 3), dtype=np.int8)
+        grad_q = np.zeros((0, 4, 4, 2), dtype=np.int8)
+        _, grad_w = self._assert_parity(x_q, weight_q, grad_q, (1, 1), (1, 1))
+        assert not grad_w.any()
 
 
 def _int8(rng, shape):

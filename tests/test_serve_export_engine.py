@@ -285,7 +285,9 @@ class TestFrozenKernel:
         with pytest.raises(RuntimeError, match="inference-only"):
             kernel.linear_weight_grad(np.zeros((2, 4)), np.zeros((2, 3)))
         with pytest.raises(RuntimeError, match="inference-only"):
-            kernel.depthwise_weight_grad(np.zeros((2, 4)), np.zeros((2, 4, 3)))
+            kernel.depthwise_weight_grad(
+                np.zeros((2, 1, 1, 4)), np.zeros((2, 4, 1, 1)), (1, 1),
+                (1, 1), (0, 0))
 
     def test_rejects_non_int8_weights(self):
         with pytest.raises(TypeError, match="int8"):

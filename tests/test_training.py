@@ -183,6 +183,22 @@ class TestGradientTransforms:
             out = transform("w", grad)
             np.testing.assert_array_equal(out, grad)
 
+    def test_direct_int8_stochastic_rounding_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            DirectInt8Gradient(QuantConfig(rounding="stochastic"), rng=None)
+        DirectInt8Gradient(rng=None)("w", self._gradient())  # nearest
+
+    def test_ui8_stochastic_rounding_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            UI8Gradient(QuantConfig(rounding="stochastic"), rng=None)
+        UI8Gradient(rng=None)("w", self._gradient())  # nearest
+
+    def test_gdai8_stochastic_rounding_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            GDAI8Gradient(rng=None)  # stochastic by default
+        GDAI8Gradient(config=QuantConfig(rounding="nearest"), rng=None)(
+            "w", self._gradient())
+
     def test_int8_and_gdai8_outputs_match_golden_digest(self):
         """Seeded outputs of both threshold quantizers, bit for bit.
 
