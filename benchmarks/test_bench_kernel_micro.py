@@ -2,10 +2,14 @@
 
 End-to-end serving numbers fold queueing, Python dispatch and model shape
 into one figure; this benchmark times the *kernels* in isolation so a
-backend win (or regression) is attributable.  Five kernel cases run on every
-registered backend:
+backend win (or regression) is attributable.  These kernel cases run on
+every registered backend:
 
 * ``gemm_large``    — INT8 GEMM at a deliberately wide shape.
+* ``gemm_wide_k``   — INT8 GEMM whose reduction (16384 rows) is far past one
+  exact float32 tile: the weight gradient of MobileNet-V2's 3x3 stem conv
+  over a batch of 64 16x16 images, which ``fast`` runs as 1023-row float32
+  sgemms summed in int64.
 * ``rowwise_serve`` — fused per-row quantize + GEMM at the folded-label
   serving shape (10 labels x 32 requests of a 14x14 MLP).
 * ``conv_cols``     — the same fused quantize+GEMM at an im2col'd conv
@@ -19,8 +23,8 @@ registered backend:
   the same positions, channels and 3x3 kernel; ``fast`` sums exact float32
   products where ``reference`` sums int64 ones.
 
-On the four depthwise cases ``fast`` must not be slower than ``reference``
-(the check the CI bench-smoke job watches).
+On ``gemm_wide_k`` and the four depthwise cases ``fast`` must not be slower
+than ``reference`` (the check the CI bench-smoke job watches).
 
 Every backend result is checked for exactness against ``reference`` before
 it is timed — a fast wrong kernel must fail loudly, not win benchmarks.
@@ -50,6 +54,9 @@ STRICT = os.environ.get("REPRO_BENCH_STRICT", "").strip().lower() not in (
 #: 14x14 inputs into 64 hidden units.
 SERVE_ROWS, SERVE_IN, SERVE_OUT = 320, 196, 64
 LARGE_M, LARGE_K, LARGE_N = 512, 784, 256
+#: stem weight gradient: 16 output channels x (64 x 16x16 positions) x 27
+#: (3 input channels x 3x3 taps).
+WIDE_M, WIDE_K, WIDE_N = 16, 16384, 27
 DW_POSITIONS, DW_CHANNELS, DW_KERNEL = 4096, 32, 9
 #: The tap cases' NHWC input: DW_POSITIONS 3x3 windows (stride 1, pad 1).
 TAP_INPUT = (16, 16, 16, DW_CHANNELS)
@@ -72,6 +79,8 @@ def _kernel_cases():
     rng = np.random.default_rng(0)
     lhs = rng.integers(-127, 128, size=(LARGE_M, LARGE_K)).astype(np.int8)
     rhs = rng.integers(-127, 128, size=(LARGE_K, LARGE_N)).astype(np.int8)
+    wide_lhs = rng.integers(-128, 128, size=(WIDE_M, WIDE_K)).astype(np.int8)
+    wide_rhs = rng.integers(-128, 128, size=(WIDE_K, WIDE_N)).astype(np.int8)
     x = rng.normal(size=(SERVE_ROWS, SERVE_IN)).astype(np.float32)
     serve_rhs = rng.integers(-127, 128, size=(SERVE_IN, SERVE_OUT)).astype(
         np.int8
@@ -92,6 +101,7 @@ def _kernel_cases():
     conv_rhs = rng.integers(-127, 128, size=(CONV_K, CONV_N)).astype(np.int8)
     return {
         "gemm_large": lambda backend: backend.int8_gemm(lhs, rhs),
+        "gemm_wide_k": lambda backend: backend.int8_gemm(wide_lhs, wide_rhs),
         "rowwise_serve": lambda backend: backend.rowwise_quantized_gemm(
             x, serve_rhs, 127
         ),
@@ -160,6 +170,7 @@ def test_kernel_microbenchmark(benchmark):
         parameters={
             "repeats": REPEATS,
             "gemm_large": [LARGE_M, LARGE_K, LARGE_N],
+            "gemm_wide_k": [WIDE_M, WIDE_K, WIDE_N],
             "rowwise_serve": [SERVE_ROWS, SERVE_IN, SERVE_OUT],
             "conv_cols": [CONV_ROWS, CONV_K, CONV_N],
             "depthwise": [DW_POSITIONS, DW_CHANNELS, DW_KERNEL],
@@ -171,14 +182,14 @@ def test_kernel_microbenchmark(benchmark):
     )
     save_experiment(result)
 
-    # The float32 depthwise win must actually show up, for the serving
-    # kernels and the training taps; on shared runners the check is
-    # advisory unless REPRO_BENCH_STRICT=1.
+    # The float32 wins must actually show up, for the tiled wide-K GEMM,
+    # the serving depthwise kernels and the training taps; on shared
+    # runners the check is advisory unless REPRO_BENCH_STRICT=1.
     complaints = [
         f"fast slower than reference on {case} "
         f"({timings[case]['fast']:.3f}ms vs {timings[case]['reference']:.3f}ms)"
-        for case in ("depthwise", "depthwise_grad", "depthwise_taps",
-                     "depthwise_taps_grad")
+        for case in ("gemm_wide_k", "depthwise", "depthwise_grad",
+                     "depthwise_taps", "depthwise_taps_grad")
         if timings[case]["fast"] > timings[case]["reference"]
     ]
     for complaint in complaints:

@@ -22,7 +22,7 @@ class ReLU(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = self._load("mask")
-        return (grad_output * mask).astype(np.float32)
+        return (grad_output * mask).astype(np.float32, copy=False)
 
 
 class ReLU6(Module):
@@ -35,7 +35,7 @@ class ReLU6(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = self._load("mask")
-        return (grad_output * mask).astype(np.float32)
+        return (grad_output * mask).astype(np.float32, copy=False)
 
 
 class LeakyReLU(Module):
@@ -53,7 +53,7 @@ class LeakyReLU(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask = self._load("mask")
         scale = np.where(mask, 1.0, self.negative_slope)
-        return (grad_output * scale).astype(np.float32)
+        return (grad_output * scale).astype(np.float32, copy=False)
 
     def extra_repr(self) -> str:
         return f"negative_slope={self.negative_slope}"
@@ -69,7 +69,7 @@ class Sigmoid(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         out = self._load("out")
-        return (grad_output * out * (1.0 - out)).astype(np.float32)
+        return (grad_output * out * (1.0 - out)).astype(np.float32, copy=False)
 
 
 class SiLU(Module):

@@ -141,7 +141,7 @@ class Conv2d(Module):
         grad_input = col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding
         )
-        return grad_input.astype(np.float32)
+        return grad_input.astype(np.float32, copy=False)
 
     def extra_repr(self) -> str:
         return (

@@ -88,13 +88,17 @@ class _BatchNormBase(Module):
         inv_std_b = self._broadcast(inv_std, grad_output.ndim)
         grad_xhat = grad_output * gamma_b
         mean_grad_xhat = self._broadcast(grad_xhat.mean(axis=axes), grad_output.ndim)
+        product = grad_xhat * x_hat
         mean_grad_xhat_xhat = self._broadcast(
-            (grad_xhat * x_hat).mean(axis=axes), grad_output.ndim
+            product.mean(axis=axes), grad_output.ndim
         )
-        grad_input = inv_std_b * (
-            grad_xhat - mean_grad_xhat - x_hat * mean_grad_xhat_xhat
-        )
-        return grad_input.astype(np.float32)
+        # In place on the fresh buffers: the same ufunc sequence as
+        # ``inv_std * (grad_xhat - mean_grad_xhat
+        #              - x_hat * mean_grad_xhat_xhat)``.
+        grad_xhat -= mean_grad_xhat
+        grad_xhat -= np.multiply(x_hat, mean_grad_xhat_xhat, out=product)
+        grad_xhat *= inv_std_b
+        return grad_xhat.astype(np.float32, copy=False)
 
     def extra_repr(self) -> str:
         return f"num_features={self.num_features}, eps={self.eps}, momentum={self.momentum}"

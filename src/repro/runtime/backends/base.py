@@ -35,8 +35,9 @@ class Backend:
         """Integer GEMM over quantized operands.
 
         Must return the *exact* integer accumulation ``lhs_q @ rhs_q``; the
-        dtype of the accumulator is backend-specific (int32/int64 or float32
-        holding exact integers) — callers rescale with ``astype``.
+        dtype of the accumulator is backend-specific (int32/int64, float32
+        holding exact integers, or int64 summed from exact float32 tiles) —
+        callers rescale with ``astype``.
         """
         raise NotImplementedError
 

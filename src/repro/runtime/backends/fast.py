@@ -2,32 +2,35 @@
 
 The core trick generalizes the serving engine's exact-float32 INT8 GEMM to
 every integer kernel, training included: with int8 operands every product is
-at most ``qmax^2`` and any partial sum of ``K`` products is bounded by
-``K * qmax^2``, so while that bound stays below 2^24 (float32's exact-integer
+at most ``128^2`` and any partial sum of ``K`` products is bounded by
+``K * 128^2``, so while that bound stays below 2^24 (float32's exact-integer
 range) a float32 BLAS ``sgemm`` returns the exact integer accumulation — the
 same answer as the INT32 path for every summation order, and roughly an
-order of magnitude faster than NumPy's non-BLAS integer matmul.  The
-depthwise products use the same window: the forward reduces over one
-kernel window per (position, channel), and the weight gradient reduces over
-row tiles of at most :data:`EXACT_GRAD_ROWS` positions whose exact float32
-partial sums are added in int64.  The training depthwise kernels, which run
-as shifted taps over the padded input, keep both bounds.
+order of magnitude faster than NumPy's non-BLAS integer matmul.  Longer
+reductions (the conv weight gradients, whose reduction runs over every
+output position, and the depthwise weight gradients) are split into row
+tiles of at most :data:`EXACT_GRAD_ROWS` by :func:`exact_tiled_sum`: each
+tile is one exact float32 reduction and the tile results add up in int64.
+The depthwise forward reduces over one kernel window per (position,
+channel), inside a single tile.
 
 Operand staging (int8 -> float32 casts, quantization levels) goes through
 per-thread preallocated scratch buffers so the serving hot path stops paying
 an allocation per request batch.  Scratch is only ever used for operands
 inside a single kernel call — outputs are always freshly allocated, because
-callers retain them (activation caches, futures).
+callers retain them (activation caches, futures).  Tiled reductions cast
+each tile's slices transiently instead: scratch sized for a whole wide
+operand would persist into the next step's peak memory.
 
-When exactness cannot be guaranteed (wide reduction dimensions, int16/int32
-ablation operands) the kernels fall back to the reference integer path, so
-the fast backend is bit-identical to the reference backend on every input.
+Only int16/int32 ablation operands (and depthwise kernel windows past the
+exact window) fall back to the reference integer path, so the fast backend
+is bit-identical to the reference backend on every input.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,10 +58,27 @@ def exact_f32_possible(
     return reduce_dim * qmax * rhs_max < 2 ** 24
 
 
-#: Positions per tile of the float32 depthwise gradient: each position adds
-#: one product bounded by 128^2 to every (channel, tap) sum, so a tile of
-#: this many positions stays inside float32's exact-integer range.
+#: Reduction rows per exact float32 tile: each row adds one int8 product
+#: bounded by 128^2 to every partial sum, so a tile of this many rows stays
+#: inside float32's exact-integer range.
 EXACT_GRAD_ROWS = (2 ** 24 - 1) // (128 * 128)
+
+
+def exact_tiled_sum(
+    partial: Callable[[slice], np.ndarray], rows: int
+) -> np.ndarray:
+    """Exact int64 reduction over ``rows`` as float32 tiles.
+
+    ``partial(tile)`` returns the float32 reduction of the int8 products
+    over the ``tile`` slice of the reduction rows; tiles hold at most
+    :data:`EXACT_GRAD_ROWS` rows, so each result is exact, and the tile
+    results are summed in int64.
+    """
+    total = partial(slice(0, EXACT_GRAD_ROWS)).astype(np.int64)
+    for start in range(EXACT_GRAD_ROWS, rows, EXACT_GRAD_ROWS):
+        total += partial(slice(start, start + EXACT_GRAD_ROWS)).astype(
+            np.int64)
+    return total
 
 
 class FastBackend(ReferenceBackend):
@@ -114,16 +134,22 @@ class FastBackend(ReferenceBackend):
     def int8_gemm(self, lhs_q: np.ndarray, rhs_q: np.ndarray) -> np.ndarray:
         # Raw int8 operands may contain -128 on either side, so both
         # magnitude bounds are 128 here (quantizer-fed callers that clip to
-        # ±qmax get the tighter bound via rowwise_quantized_gemm).
-        if (
-            lhs_q.dtype == np.int8
-            and rhs_q.dtype == np.int8
-            and exact_f32_possible(lhs_q.shape[-1], qmax=128, rhs_max=128)
-        ):
+        # ±qmax get the tighter bound via rowwise_quantized_gemm).  A K past
+        # one exact tile (the conv weight gradients, reducing over output
+        # positions) runs as 1023-row float32 sgemms summed in int64; only
+        # int16/int32 operands fall back to the integer matmul.
+        if lhs_q.dtype != np.int8 or rhs_q.dtype != np.int8:
+            return integer_matmul(lhs_q, rhs_q)
+        inner = lhs_q.shape[-1]
+        if exact_f32_possible(inner, qmax=128, rhs_max=128):
             lhs_f32 = self._stage_f32("int8_gemm_lhs", lhs_q)
             rhs_f32 = self._stage_f32("int8_gemm_rhs", rhs_q)
             return lhs_f32 @ rhs_f32
-        return integer_matmul(lhs_q, rhs_q)
+        return exact_tiled_sum(
+            lambda tile: (lhs_q[..., tile].astype(np.float32)
+                          @ rhs_q[tile].astype(np.float32)),
+            inner,
+        )
 
     def int8_depthwise(
         self, cols_q: np.ndarray, weight_q: np.ndarray
@@ -148,23 +174,20 @@ class FastBackend(ReferenceBackend):
         self, grad_q: np.ndarray, cols_q: np.ndarray
     ) -> np.ndarray:
         # The reduction spans every position and leaves the float32 exact
-        # window on realistic feature maps, so it runs over row tiles of at
-        # most EXACT_GRAD_ROWS positions (each tile's partial sums stay below
-        # 2^24) and sums the exact tile results in int64.
+        # window on realistic feature maps, so it runs as exact row tiles.
         positions = cols_q.shape[0]
         if not (
             grad_q.dtype == np.int8 and cols_q.dtype == np.int8 and positions
         ):
             return super().int8_depthwise_grad(grad_q, cols_q)
-        out = np.zeros(cols_q.shape[1:], dtype=np.int64)
-        for r0 in range(0, positions, EXACT_GRAD_ROWS):
-            r1 = min(r0 + EXACT_GRAD_ROWS, positions)
-            out += np.einsum(
+        return exact_tiled_sum(
+            lambda tile: np.einsum(
                 "pc,pck->ck",
-                grad_q[r0:r1].astype(np.float32),
-                cols_q[r0:r1].astype(np.float32),
-            ).astype(np.int64)
-        return out
+                grad_q[tile].astype(np.float32),
+                cols_q[tile].astype(np.float32),
+            ),
+            positions,
+        )
 
     def int8_depthwise_taps(
         self,
@@ -196,18 +219,20 @@ class FastBackend(ReferenceBackend):
         stride: Tuple[int, int],
         padding: Tuple[int, int],
     ) -> np.ndarray:
-        # Each tap's products are summed over row tiles of at most
-        # EXACT_GRAD_ROWS positions (exact float32 partial sums, as in
-        # int8_depthwise_grad) and the tile sums are added in int64.
+        # Each tap's (positions, channels) products are summed over exact
+        # row tiles; a tile's column sums are one sgemv with a ones vector.
         if not (grad_q.dtype == np.int8 and x_q.dtype == np.int8
                 and grad_q.size):
             return super().int8_depthwise_taps_grad(
                 grad_q, x_q, kernel, stride, padding)
-        starts = np.arange(0, grad_q.size // grad_q.shape[-1], EXACT_GRAD_ROWS)
+        ones = np.ones(EXACT_GRAD_ROWS, dtype=np.float32)
 
         def exact_sum(products: np.ndarray) -> np.ndarray:
-            tiles = np.add.reduceat(products, starts, axis=0)
-            return tiles.astype(np.int64).sum(axis=0)
+            def column_sums(tile: slice) -> np.ndarray:
+                rows = products[tile]
+                return ones[: len(rows)] @ rows
+
+            return exact_tiled_sum(column_sums, len(products))
 
         return depthwise_tap_grad(
             self._stage_f32("taps_grad", grad_q),
@@ -225,18 +250,19 @@ class FastBackend(ReferenceBackend):
     ) -> Tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=np.float32)
         scales = rowwise_scales(x, qmax)
+        # Fused quantize+GEMM: the nearest-rounded clipped levels are
+        # already exact small integers in float32, so they feed sgemm
+        # directly — the int8 round-trip is never materialized.
+        levels = rowwise_levels(x, scales, qmax)
         if exact_f32 or exact_f32_possible(rhs_q.shape[0], qmax):
-            # Fused quantize+GEMM: the nearest-rounded clipped levels are
-            # already exact small integers in float32, so they feed sgemm
-            # directly — the int8 round-trip is never materialized.
-            levels = x / scales.reshape((-1,) + (1,) * (x.ndim - 1))
-            np.rint(levels, out=levels)
-            np.clip(levels, -qmax, qmax, out=levels)
             if rhs_f32 is None:
                 rhs_f32 = self._stage_f32("rowwise_rhs", rhs_q)
             return levels @ rhs_f32, scales
-        q = rowwise_levels(x, scales, qmax).astype(np.int8)
-        return integer_matmul(q, rhs_q), scales
+        acc = exact_tiled_sum(
+            lambda tile: levels[..., tile] @ rhs_q[tile].astype(np.float32),
+            rhs_q.shape[0],
+        )
+        return acc, scales
 
     # rowwise_quantize: inherited from ReferenceBackend (already allocation-
     # minimal; the fusion win lives in rowwise_quantized_gemm above).

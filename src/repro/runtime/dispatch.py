@@ -106,7 +106,8 @@ def int8_gemm(
     """Exact integer GEMM ``lhs_q @ rhs_q``.
 
     Operands must be signed integers; the accumulator dtype is
-    backend-specific (int32/int64, or float32 holding exact integers).
+    backend-specific (int32/int64, float32 holding exact integers, or int64
+    summed from exact float32 tiles).
     """
     if lhs_q.dtype.kind != "i" or rhs_q.dtype.kind != "i":
         raise TypeError(

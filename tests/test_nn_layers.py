@@ -105,6 +105,37 @@ class TestBatchNorm:
         np.testing.assert_array_equal(x, original)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 4, 5, 5)])
+    def test_input_grad_matches_out_of_place_formula(self, shape, dtype):
+        rng = np.random.default_rng(13)
+        bn = (BatchNorm1d if len(shape) == 2 else BatchNorm2d)(4)
+        bn.gamma.data[...] = rng.normal(size=4).astype(np.float32)
+        bn(rng.normal(size=shape).astype(dtype))
+        grad = rng.normal(size=shape).astype(dtype)
+        original = grad.copy()
+        x_hat = bn._load("x_hat").copy()
+        inv_std = bn._load("inv_std")
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        stat_shape = (1, 4) + (1,) * (len(shape) - 2)
+        grad_xhat = grad * bn.gamma.data.reshape(stat_shape)
+        expected = (inv_std.reshape(stat_shape) * (
+            grad_xhat
+            - grad_xhat.mean(axis=axes).reshape(stat_shape)
+            - x_hat * (grad_xhat * x_hat).mean(axis=axes).reshape(stat_shape)
+        )).astype(np.float32)
+        first = bn.input_grad(grad)
+        assert first.dtype == np.float32
+        np.testing.assert_array_equal(first, expected)
+        assert not np.shares_memory(first, grad)
+        assert not np.shares_memory(first, bn._load("x_hat"))
+        # The in-place arithmetic leaves the gradient and the cached x_hat
+        # alone: a second call returns the same values.
+        np.testing.assert_array_equal(grad, original)
+        np.testing.assert_array_equal(bn._load("x_hat"), x_hat)
+        np.testing.assert_array_equal(bn.input_grad(grad), first)
+
+
 class TestFFLayerNorm:
     def test_unit_norm_output(self):
         norm = FFLayerNorm()
@@ -145,6 +176,29 @@ class TestActivations:
         layer = layer_cls()
         x = np.random.default_rng(10).normal(size=(4, 7)) * 2.0
         check_input_gradient(layer, x, rtol=2e-2, atol=2e-3)
+
+    @pytest.mark.parametrize("layer_cls, old_backward", [
+        (ReLU, lambda x, g, out: (g * (x > 0)).astype(np.float32)),
+        (ReLU6, lambda x, g, out: (g * ((x > 0) & (x < 6.0))).astype(
+            np.float32)),
+        (LeakyReLU, lambda x, g, out: (
+            g * np.where(x > 0, 1.0, 0.01)).astype(np.float32)),
+        (Sigmoid, lambda x, g, out: (g * out * (1.0 - out)).astype(
+            np.float32)),
+    ], ids=["relu", "relu6", "leaky_relu", "sigmoid"])
+    def test_backward_matches_copying_formula(self, layer_cls, old_backward):
+        rng = np.random.default_rng(14)
+        x = (rng.normal(size=(4, 3, 5, 5)) * 4.0).astype(np.float32)
+        grad = rng.normal(size=x.shape).astype(np.float32)
+        original = grad.copy()
+        layer = layer_cls()
+        out = layer(x)
+        first = layer.backward(grad)
+        assert first.dtype == np.float32
+        np.testing.assert_array_equal(first, old_backward(x, grad, out))
+        assert not np.shares_memory(first, grad)
+        np.testing.assert_array_equal(grad, original)
+        np.testing.assert_array_equal(layer.backward(grad), first)
 
     def test_relu_clips_negative(self):
         out = ReLU()(np.array([[-1.0, 2.0]], dtype=np.float32))

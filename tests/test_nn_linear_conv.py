@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Conv2d, DepthwiseConv2d, Linear
+from repro.nn.functional import col2im
 from tests.gradcheck import check_input_gradient, check_parameter_gradients
 
 
@@ -111,6 +112,25 @@ class TestConv2d:
         conv = Conv2d(2, 2, 3, stride=1, padding=0, rng=0)
         x = np.random.default_rng(8).normal(size=(2, 2, 5, 5))
         check_parameter_gradients(conv, x)
+
+    def test_input_grad_matches_copying_formula(self):
+        rng = np.random.default_rng(9)
+        conv = Conv2d(3, 4, 3, stride=2, padding=1, rng=0)
+        x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
+        grad = rng.normal(size=conv(x).shape).astype(np.float32)
+        original = grad.copy()
+        grad_matrix = np.ascontiguousarray(
+            grad.transpose(0, 2, 3, 1).reshape(-1, 4))
+        expected = col2im(
+            grad_matrix @ conv.weight.data.reshape(4, -1), x.shape,
+            conv.kernel_size, conv.stride, conv.padding,
+        ).astype(np.float32)
+        first = conv.input_grad(grad)
+        assert first.dtype == np.float32
+        np.testing.assert_array_equal(first, expected)
+        assert not np.shares_memory(first, grad)
+        np.testing.assert_array_equal(grad, original)
+        np.testing.assert_array_equal(conv.input_grad(grad), first)
 
     def test_kernel_size_pair(self):
         conv = Conv2d(1, 1, (3, 1), stride=(1, 1), padding=(1, 0), rng=0)

@@ -24,6 +24,7 @@ from repro.runtime import (
 )
 from repro.runtime import dispatch, instrument
 from repro.runtime.backends import FastBackend, ReferenceBackend
+from repro.runtime.backends import fast as fast_backend
 from repro.runtime.backends.fast import EXACT_GRAD_ROWS, exact_f32_possible
 from repro.runtime.executor import PlanExecutor, forward_through_units
 
@@ -304,17 +305,17 @@ class TestBackendParity:
             matrices["reference"], matrices["fast"]
         )
 
-    def test_exact_f32_guard(self):
+    def test_exact_f32_guard(self, no_integer_matmul):
         assert exact_f32_possible(1000)
         assert not exact_f32_possible(2000)
-        # Beyond the exact window the fast backend falls back to integers.
+        # Beyond the exact window the fast backend tiles the reduction into
+        # exact float32 sgemms; it never falls back to integers.
         rng = np.random.default_rng(0)
         lhs = rng.integers(-127, 128, size=(2, 2048)).astype(np.int8)
         rhs = rng.integers(-127, 128, size=(2048, 3)).astype(np.int8)
-        fast = FastBackend().int8_gemm(lhs, rhs)
-        assert fast.dtype == np.int32
         np.testing.assert_array_equal(
-            fast, lhs.astype(np.int64) @ rhs.astype(np.int64)
+            FastBackend().int8_gemm(lhs, rhs),
+            lhs.astype(np.int64) @ rhs.astype(np.int64),
         )
 
     def test_int8_min_value_near_exactness_boundary(self):
@@ -338,6 +339,86 @@ class TestBackendParity:
             out = backend.int8_gemm(lhs, rhs)
             assert out.dtype == np.int64
             assert out[0, 0] == 4 * 300 * 300
+
+
+@pytest.fixture
+def no_integer_matmul(monkeypatch):
+    """Fail any call ``fast`` makes to the integer fallback GEMM."""
+    def forbidden(lhs_q, rhs_q):
+        raise AssertionError(
+            f"fast fell back to integer_matmul on {lhs_q.dtype} operands")
+
+    monkeypatch.setattr(fast_backend, "integer_matmul", forbidden)
+
+
+class TestTiledGemm:
+    """``fast``'s INT8 GEMM past one exact tile: 1023-row float32 sgemms
+    summed in int64, bit-identical to the reference integer matmul."""
+
+    @staticmethod
+    def _assert_exact(lhs, rhs):
+        want = ReferenceBackend().int8_gemm(lhs, rhs)
+        got = FastBackend().int8_gemm(lhs, rhs)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(
+            np.asarray(got, dtype=np.int64), np.asarray(want, dtype=np.int64))
+        return got
+
+    @pytest.mark.parametrize("inner", [1023, 1024, 1040, 2046, 2047, 16384])
+    def test_matches_reference(self, inner, no_integer_matmul):
+        rng = np.random.default_rng(inner)
+        self._assert_exact(_int8(rng, (5, inner)), _int8(rng, (inner, 7)))
+
+    @pytest.mark.parametrize("inner", [1023, 1024, 1040, 2046, 2047, 16384])
+    def test_all_minus_128_is_the_worst_case(self, inner, no_integer_matmul):
+        # Every product is +128^2, so each partial sum is 128^2 * K: past
+        # 2^24 for any K >= 1024, where one float32 sgemm would round.
+        lhs = np.full((2, inner), -128, dtype=np.int8)
+        rhs = np.full((inner, 3), -128, dtype=np.int8)
+        got = self._assert_exact(lhs, rhs)
+        assert (got == inner * 128 * 128).all()
+
+    def test_odd_sums_past_two_to_the_24(self, no_integer_matmul):
+        # K = 2 x 2047: K - 1 products of 127^2 plus one of 1 sum to an odd
+        # integer far past 2^24, which float32 cannot even represent.
+        inner = 2 * 2047
+        lhs = np.full((2, inner), 127, dtype=np.int8)
+        rhs = np.full((inner, 1), 127, dtype=np.int8)
+        lhs[:, -1] = rhs[-1] = 1
+        got = self._assert_exact(lhs, rhs)
+        assert (got == (inner - 1) * 127 * 127 + 1).all()
+
+    def test_batched_lhs(self, no_integer_matmul):
+        rng = np.random.default_rng(1)
+        inner = 2 * 2047
+        lhs = _int8(rng, (3, 4, inner))
+        rhs = _int8(rng, (inner, 5))
+        assert self._assert_exact(lhs, rhs).shape == (3, 4, 5)
+
+    def test_non_contiguous_operands(self, no_integer_matmul):
+        rng = np.random.default_rng(2)
+        inner = 2 * 2047
+        lhs = _int8(rng, (inner, 6)).T
+        rhs = _int8(rng, (2 * inner, 4))[::2]
+        assert not lhs.flags.c_contiguous and not rhs.flags.c_contiguous
+        self._assert_exact(lhs, rhs)
+
+    def test_wide_k_rowwise_serving_gemm(self, no_integer_matmul):
+        # Past the serving kernel's exact window the float32 levels run
+        # through the same tiles; scales and accumulator match reference.
+        inner = 2048
+        assert not exact_f32_possible(inner, 127)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, inner)).astype(np.float32)
+        rhs = _int8(rng, (inner, 5))
+        acc_ref, scales_ref = ReferenceBackend().rowwise_quantized_gemm(
+            x, rhs, 127)
+        acc_fast, scales_fast = FastBackend().rowwise_quantized_gemm(
+            x, rhs, 127)
+        np.testing.assert_array_equal(scales_fast, scales_ref)
+        np.testing.assert_array_equal(
+            np.asarray(acc_fast, dtype=np.int64),
+            np.asarray(acc_ref, dtype=np.int64))
 
 
 class TestInstrumentation:
